@@ -6,6 +6,11 @@ symmetrized graph Laplacian for each, and scores p by r(p) = p / g_p where
 g_p is the largest eigengap inside the candidate window normalized by the
 largest eigenvalue. The smallest r wins; the winning eigengap index is the
 cluster-count estimate.
+
+The scan is exhaustive but does no work twice: each affinity row is sorted
+once, the binarized graph grows by the next neighbour columns from one p to
+the next, and only eigenvalues are computed per p. Eigenvectors are taken
+once, by `spectral_cluster`, at the selected p.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ class NmeResult:
 
     p_hat: int
     k_hat: int
-    eigenvalues: np.ndarray   # ascending, for p_hat
+    eigenvalues: np.ndarray   # ascending, for p_hat, from eigvalsh
     eigengap: np.ndarray      # e[i-1] = lambda_{i+1} - lambda_i, i in [1, k_max]
     trace: Tuple[Dict[str, float], ...]
 
@@ -96,6 +101,14 @@ def cosine_affinity(x: np.ndarray) -> np.ndarray:
     return a
 
 
+def _neighbour_order(a: np.ndarray) -> np.ndarray:
+    """Column indices of each row's off-diagonal entries, largest first."""
+    masked = a.copy()
+    np.fill_diagonal(masked, -np.inf)
+    # stable sort on negated values: equal entries keep ascending column order
+    return np.argsort(-masked, axis=1, kind="stable")
+
+
 def binarize_symmetrize(a: np.ndarray, p: int) -> np.ndarray:
     """Keep each row's p largest off-diagonal entries as 1, zero the rest,
     then average with the transpose. Ties break toward the lower column
@@ -105,10 +118,7 @@ def binarize_symmetrize(a: np.ndarray, p: int) -> np.ndarray:
         raise ShapeError("affinity must be square")
     if not 1 <= p <= n - 1:
         raise ValueError(f"p must lie in [1, {n - 1}], got {p}")
-    masked = a.copy()
-    np.fill_diagonal(masked, -np.inf)
-    # stable sort on negated values: equal entries keep ascending column order
-    order = np.argsort(-masked, axis=1, kind="stable")
+    order = _neighbour_order(a)
     a_p = np.zeros_like(a)
     rows = np.repeat(np.arange(n), p)
     a_p[rows, order[:, :p].ravel()] = 1.0
@@ -147,8 +157,18 @@ def nme_select(
 ) -> NmeResult:
     """Scan candidate p values and pick (p_hat, k_hat) by the normalized
     maximum eigengap ratio r(p) = p / g_p; ties go to the smaller p and the
-    smaller eigengap index."""
+    smaller eigengap index.
+
+    Every p in `p_range` is scanned and traced. Each row's neighbour order
+    is sorted once; the graph for p adds the columns order[:, filled:p] to
+    the one for the previous p, which gives, bit for bit, the Laplacian of
+    `binarize_symmetrize(a, p)`. Only its eigenvalues are computed
+    (`np.linalg.eigvalsh`), so `eigenvalues` and the trace may differ from
+    an `eig_sym` spectrum in the last bits.
+    """
     n = a.shape[0]
+    if a.shape != (n, n):
+        raise ShapeError("affinity must be square")
     if p_range is None:
         p_range = default_p_range(n)
     p_list = sorted(set(int(p) for p in p_range))
@@ -158,10 +178,20 @@ def nme_select(
         raise ValueError(f"k_max must lie in [1, {n}]")
     window = min(k_max, n - 1)
 
+    order = _neighbour_order(a)
+    rows = np.arange(n)[:, None]
+    adj = np.eye(n)
+    filled = 0
     best = None  # (r, p, gaps, eigenvalues)
     trace: List[Dict[str, float]] = []
     for p in p_list:
-        lam, _ = eig_sym(laplacian(binarize_symmetrize(a, p)))
+        adj[rows, order[:, filled:p]] = 1.0
+        filled = p
+        abar = (adj + adj.T) / 2.0
+        try:
+            lam = np.linalg.eigvalsh(np.diag(abar.sum(axis=1)) - abar)
+        except np.linalg.LinAlgError as exc:
+            raise EigenConvergenceError(str(exc)) from None
         gaps = lam[1: window + 1] - lam[:window]
         g_p = float(gaps.max() / max(lam[-1], EPS))
         k_at_p = int(np.argmax(gaps)) + 1

@@ -376,6 +376,8 @@ def run_diarization(
                 f"shape {x_raw.shape}")
         x = _segment_embeddings(x_raw, cfg, encoder)
         n = x.shape[0]
+        # a session of n segments holds at most n speakers
+        k_max = min(cfg.k_max, n)
         nme: Optional[NmeResult] = None
         p_used: Optional[int] = None
         if n == 1:
@@ -393,19 +395,19 @@ def run_diarization(
             if cfg.known_k is None:
                 raise ValueError("sc-fixed-p backend needs known_k")
             asg, _ = spectral_cluster(x, k=cfg.known_k, p=cfg.p,
-                                      k_max=cfg.k_max,
+                                      k_max=k_max,
                                       restarts=cfg.restarts, seed=cfg.seed)
             p_used = cfg.p if cfg.p is not None else default_p_range(n)[-1]
             labels, k_used, inertia = asg.labels, asg.k, asg.inertia
         else:
             if cfg.known_k is None:
-                asg, nme = spectral_cluster(x, k_max=cfg.k_max,
+                asg, nme = spectral_cluster(x, k_max=k_max,
                                             restarts=cfg.restarts,
                                             seed=cfg.seed)
             else:
-                nme = nme_select(cosine_affinity(x), k_max=cfg.k_max)
+                nme = nme_select(cosine_affinity(x), k_max=k_max)
                 asg, _ = spectral_cluster(x, k=cfg.known_k, p=nme.p_hat,
-                                          k_max=cfg.k_max,
+                                          k_max=k_max,
                                           restarts=cfg.restarts,
                                           seed=cfg.seed)
             p_used = nme.p_hat

@@ -11,6 +11,12 @@ import pytest
 from deskdiar import cli
 from deskdiar.models import load_checkpoint
 from deskdiar.metrics import parse_rttm
+from deskdiar.pipeline import (
+    SadIntervals,
+    format_sad,
+    save_embeddings,
+    uniform_segments,
+)
 
 SIM_ARGS = ["--set", "n_sessions=3", "--set", "dim=16",
             "--set", "n_speakers=8", "--set", "rows_per_speaker=24",
@@ -262,6 +268,30 @@ class TestDiarize:
                        "--embedding", "xvector-raw", "--backend", "kmeans"])
         assert rc == 3
         assert "known_k" in capsys.readouterr().err
+
+    def test_session_shorter_than_k_max_segments(self, tmp_path):
+        # a 4 s session (7 segments, under the default k_max = 10) beside a
+        # healthy 60 s two-speaker session
+        rng = np.random.default_rng(5)
+        data = tmp_path / "data"
+        data.mkdir()
+        sads = [SadIntervals("short", ((0.0, 4.0),)),
+                SadIntervals("long", ((0.0, 60.0),))]
+        lines = ["sad corpus.sad"]
+        for s in sads:
+            n = len(uniform_segments(s))
+            means = np.eye(16)[(np.arange(n) >= n // 2).astype(int)]
+            save_embeddings(means + 0.05 * rng.standard_normal((n, 16)),
+                            data / f"{s.session}.dkem", binary=True)
+            lines.append(f"session {s.session} emb={s.session}.dkem k=2")
+        (data / "corpus.sad").write_text(format_sad(sads))
+        (data / "manifest.txt").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "hyp"
+        rc = cli.main(["diarize", "--data", str(data), "--out", str(out)])
+        assert rc == 0
+        hyp = parse_rttm((out / "hypothesis.rttm").read_text())
+        assert sorted(hyp) == ["long", "short"]
+        assert len(hyp["long"].speakers) == 2
 
     def test_bad_known_k_exits_2(self, corpus_dir, tmp_path, capsys):
         rc = cli.main(["diarize", "--data", str(corpus_dir),

@@ -319,6 +319,57 @@ class TestNmeSelect:
         assert winner["r"] == min(finite)
         assert set(res.trace[0]) == {"p", "g_p", "r", "k_at_p"}
 
+    @staticmethod
+    def per_p_reference(a, p_range, k_max):
+        """The scan rebuilt from the public per-p steps: a fresh binarized
+        graph and a full eigendecomposition for every p."""
+        window = min(k_max, a.shape[0] - 1)
+        trace, best = [], None
+        for p in sorted(set(p_range)):
+            lam, _ = eig_sym(laplacian(binarize_symmetrize(a, p)))
+            gaps = lam[1: window + 1] - lam[:window]
+            g_p = gaps.max() / max(lam[-1], 1e-12)
+            r = p / g_p if g_p > 0 else np.inf
+            k_at_p = int(np.argmax(gaps)) + 1
+            trace.append((p, g_p, r, k_at_p))
+            if best is None or r < best[0]:
+                best = (r, p, k_at_p)
+        return best[1], best[2], trace
+
+    def test_scan_matches_per_p_reference(self, rng):
+        cases = []
+        for k in (2, 3, 5):
+            means = rng.standard_normal((k, 16))
+            x = means[np.arange(60) % k] + 0.3 * rng.standard_normal((60, 16))
+            cases.append((cosine_affinity(x), None))
+        # duplicate rows: the stable sort's ties decide the picked columns
+        x = rng.standard_normal((10, 5))[np.arange(40) % 10]
+        cases.append((cosine_affinity(x), None))
+        x = rng.standard_normal((30, 8))
+        cases.append((cosine_affinity(x), [9, 2, 17, 2, 5, 29, 9, 1]))
+        for a, p_range in cases:
+            res = nme_select(a, p_range)
+            p_hat, k_hat, trace = self.per_p_reference(
+                a, p_range or default_p_range(a.shape[0]), DEFAULT_K_MAX)
+            assert (res.p_hat, res.k_hat) == (p_hat, k_hat)
+            assert [t["p"] for t in res.trace] == [p for p, *_ in trace]
+            for t, (_, g_p, r, k_at_p) in zip(res.trace, trace):
+                if g_p < 1e-9:
+                    # more components than the window holds: every window
+                    # gap is zero up to rounding, so its argmax is noise
+                    assert t["g_p"] < 1e-9
+                    continue
+                assert t["k_at_p"] == k_at_p
+                assert t["g_p"] == pytest.approx(g_p, rel=1e-9)
+                assert t["r"] == pytest.approx(r, rel=1e-9)
+
+    def test_lapack_failure_maps_to_convergence_error(self, monkeypatch):
+        def boom(_):
+            raise np.linalg.LinAlgError("did not converge")
+        monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+        with pytest.raises(EigenConvergenceError):
+            nme_select(np.kron(np.eye(2), np.ones((3, 3))), k_max=3)
+
     def test_all_zero_gap_degenerates(self):
         # six mutual pairs: at p=1 the graph splits into 6 components, more
         # than the 5-wide eigengap window, so every window gap is zero
@@ -338,6 +389,11 @@ class TestNmeSelect:
             nme_select(a, k_max=0)
         with pytest.raises(ValueError, match="k_max"):
             nme_select(a, k_max=9)
+
+    def test_rejects_non_square_affinity(self, rng):
+        a = cosine_affinity(rng.standard_normal((8, 3)))
+        with pytest.raises(ShapeError, match="square"):
+            nme_select(a[:, :6], k_max=5)
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,19 @@ class TestRunDiarization:
         with pytest.raises(ValueError, match="single-segment"):
             run_diarization(s, np.ones((1, 4)), DiarizeConfig(known_k=2))
 
+    def test_session_shorter_than_k_max_segments(self, rng):
+        # 4 s of speech gives 7 segments, fewer than the default k_max = 10
+        s = sad((0.0, 4.0))
+        n = len(uniform_segments(s))
+        assert n == 7 < DiarizeConfig().k_max
+        tl, k_hat, diag = run_diarization(s, rng.standard_normal((n, 16)),
+                                          DiarizeConfig())
+        assert 1 <= k_hat <= n
+        assert diag["nme"].eigengap.shape == (n - 1,)
+        onset, duration, _ = tl.turns[-1]
+        assert tl.turns[0][0] == 0.0 and abs(onset + duration - 4.0) < 1e-6
+        assert abs(tl.total_speech - s.total_speech) < 1e-6
+
     def test_fused_self_consistency_both_backends(self, rng):
         # fusing a stream with itself must not change either back-end's
         # partition
