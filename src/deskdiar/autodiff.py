@@ -136,20 +136,6 @@ class MlpGrads:
             biases=[np.zeros_like(l.bias) for l in params.layers],
         )
 
-    def add_scaled(self, other: "MlpGrads", scale: float = 1.0) -> "MlpGrads":
-        """Accumulate ``scale * other`` into this container (returns self)."""
-        for w, ow in zip(self.weights, other.weights):
-            w += scale * ow
-        for b, ob in zip(self.biases, other.biases):
-            b += scale * ob
-        return self
-
-    def scaled(self, scale: float) -> "MlpGrads":
-        return MlpGrads(
-            weights=[scale * w for w in self.weights],
-            biases=[scale * b for b in self.biases],
-        )
-
 
 def _stamp(params: MlpParams) -> tuple:
     # cheap staleness tripwire: corner entries change under any realistic

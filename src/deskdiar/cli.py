@@ -1,11 +1,12 @@
 """Command-line front end for the corpus -> train -> diarize workflow.
 
-Five subcommands cover the full loop: ``simulate`` writes a synthetic
-embedding corpus, ``train`` fits the ClusterGAN triplet on its training
-split, ``finetune`` runs the episodic fine-tuning stage on the encoder,
-``diarize`` produces hypothesis RTTMs, and ``score`` reports DER plus
-speaker-count and purity summaries. Commands share a flat key = value
-configuration; explicit flags win over --set, which wins over --config.
+Six subcommands cover the full loop: ``config`` prints the effective
+configuration, ``simulate`` writes a synthetic embedding corpus, ``train``
+fits the ClusterGAN triplet on its training split, ``finetune`` runs the
+episodic fine-tuning stage on the encoder, ``diarize`` produces hypothesis
+RTTMs, and ``score`` reports DER plus speaker-count and purity summaries.
+Commands share a flat key = value configuration; explicit flags win over
+--set, which wins over --config.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data or format
 error, 4 numerical divergence.
@@ -324,7 +325,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.snapshot").write_text(config_text(cfg))
-    save_embeddings(train.x, out / "train.dkem", binary=True)
+    save_embeddings(train.x, out / "train.dkem")
     (out / "train_labels.txt").write_text(
         "".join(f"{lab}\n" for lab in train.labels))
     (out / "corpus.sad").write_text(format_sad([s.sad for s in sessions]))
@@ -333,7 +334,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rows = []
     for sess in sessions:
         name = sess.sad.session
-        save_embeddings(sess.x, out / f"{name}.dkem", binary=True)
+        save_embeddings(sess.x, out / f"{name}.dkem")
         rows.append({"name": name, "emb": f"{name}.dkem", "k": sess.true_k})
     (out / "manifest.txt").write_text(format_manifest(
         {"emb": "train.dkem", "labels": "train_labels.txt",

@@ -10,7 +10,7 @@ cluster-count estimate.
 The scan is exhaustive but does no work twice: each affinity row is sorted
 once, the binarized graph grows by the next neighbour columns from one p to
 the next, and only eigenvalues are computed per p. Eigenvectors are taken
-once, by `spectral_cluster`, at the selected p.
+once, by `spectral_partition`, at the selected p.
 """
 
 from __future__ import annotations
@@ -31,10 +31,14 @@ KMEANS_TOL = 1e-9
 KMEANS_MAX_ITER = 300
 DEFAULT_RESTARTS = 10
 DEFAULT_K_MAX = 10
+# a normalized eigengap at or below this is rounding noise, not a gap: the
+# graph has more components than the eigengap window holds
+GAP_FLOOR = 1e-9
 
 
 class DegenerateAffinityError(ValueError):
-    """Every candidate p produced a zero normalized eigengap."""
+    """Every candidate p produced a normalized eigengap at or below
+    GAP_FLOOR."""
 
 
 class EigenConvergenceError(ArithmeticError):
@@ -195,13 +199,13 @@ def nme_select(
         gaps = lam[1: window + 1] - lam[:window]
         g_p = float(gaps.max() / max(lam[-1], EPS))
         k_at_p = int(np.argmax(gaps)) + 1
-        r = float(p / g_p) if g_p > 0 else np.inf
+        r = float(p / g_p) if g_p > GAP_FLOOR else np.inf
         trace.append({"p": p, "g_p": g_p, "r": r, "k_at_p": k_at_p})
         if best is None or r < best[0]:
             best = (r, p, gaps, lam)
     if not np.isfinite(best[0]):
         raise DegenerateAffinityError(
-            "every candidate p has zero normalized eigengap")
+            f"every candidate p has normalized eigengap <= {GAP_FLOOR}")
     _, p_hat, gaps, lam = best
     return NmeResult(p_hat=p_hat, k_hat=int(np.argmax(gaps)) + 1,
                      eigenvalues=lam, eigengap=gaps, trace=tuple(trace))
@@ -306,6 +310,17 @@ def kmeans(x: np.ndarray, k: int, restarts: int = DEFAULT_RESTARTS,
 # full spectral pipeline
 # --------------------------------------------------------------------------
 
+def spectral_partition(a: np.ndarray, p: int, k: int, restarts: int,
+                       seed: int) -> ClusterAssignment:
+    """k-means on the first k Laplacian eigenvectors of the affinity a
+    binarized at p."""
+    n = a.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}]")
+    _, vec = eig_sym(laplacian(binarize_symmetrize(a, p)))
+    return kmeans(vec[:, :k], k, restarts=restarts, seed=seed)
+
+
 def spectral_cluster(
     x: np.ndarray,
     k: Optional[int] = None,
@@ -322,19 +337,11 @@ def spectral_cluster(
     scan estimates both p and k. Returns the assignment plus the NME result
     in estimate mode (None in known-k mode).
     """
-    x = np.asarray(x, dtype=np.float64)
     a = cosine_affinity(x)
-    n = a.shape[0]
     nme = None
     if k is None:
         nme = nme_select(a, p_range, k_max)
-        p_used, k_used = nme.p_hat, nme.k_hat
-    else:
-        if not 1 <= k <= n:
-            raise ValueError(f"k must lie in [1, {n}]")
-        p_used = p if p is not None else default_p_range(n)[-1]
-        k_used = k
-    lam, vec = eig_sym(laplacian(binarize_symmetrize(a, p_used)))
-    rows = vec[:, :k_used]
-    assignment = kmeans(rows, k_used, restarts=restarts, seed=seed)
-    return assignment, nme
+        p, k = nme.p_hat, nme.k_hat
+    elif p is None:
+        p = default_p_range(a.shape[0])[-1]
+    return spectral_partition(a, p, k, restarts, seed), nme

@@ -3,8 +3,8 @@
 Turns oracle speech intervals into overlapping fixed-length segments,
 encodes each segment, optionally fuses embedding streams, clusters, and
 converts overlapping segment labels back into a flat speaker timeline.
-Also owns the plumbing formats: SAD text, RTTM turns, and embedding
-matrices (text and binary).
+Also owns the plumbing formats: SAD text, RTTM turns, and binary `.dkem`
+embedding matrices.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from .autodiff import ShapeError
 from .clustering import (
     DEFAULT_K_MAX,
     DEFAULT_RESTARTS,
+    ClusterAssignment,
     NmeResult,
     cosine_affinity,
     default_p_range,
     kmeans,
     nme_select,
-    spectral_cluster,
+    spectral_partition,
 )
 from .models import EncodeMode, MlpCheckpoint, encode
 
@@ -39,7 +40,6 @@ EMBED_SOURCES = ("xvector-raw", "clustergan", "mcgan", "fused")
 BACKENDS = ("kmeans", "sc-fixed-p", "nme-sc")
 
 EMB_MAGIC = b"DKEM"
-EMB_TEXT_HEADER = "EMB 1"
 
 
 # ---------------------------------------------------------------------------
@@ -256,55 +256,29 @@ def parse_sad(text: str) -> List[SadIntervals]:
             for sess, ivs in by_session.items()]
 
 
-def save_embeddings(x: np.ndarray, path: Union[str, Path],
-                    binary: bool = False) -> None:
+def save_embeddings(x: np.ndarray, path: Union[str, Path]) -> None:
+    """Write a `.dkem` file: b'DKEM', uint32 n and d, float32 rows."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError("expected an (n, d) matrix")
     n, d = x.shape
-    path = Path(path)
-    if binary:
-        blob = EMB_MAGIC + struct.pack("<II", n, d)
-        blob += x.astype("<f4").tobytes()
-        path.write_bytes(blob)
-        return
-    lines = [f"{EMB_TEXT_HEADER} {n} {d}\n"]
-    for row in x:
-        lines.append(" ".join(repr(float(v)) for v in row) + "\n")
-    path.write_text("".join(lines), encoding="ascii")
+    blob = EMB_MAGIC + struct.pack("<II", n, d)
+    Path(path).write_bytes(blob + x.astype("<f4").tobytes())
 
 
 def load_embeddings(path: Union[str, Path]) -> np.ndarray:
     blob = Path(path).read_bytes()
-    if blob[:4] == EMB_MAGIC:
-        if len(blob) < 12:
-            raise ValueError("truncated embedding file header")
-        n, d = struct.unpack("<II", blob[4:12])
-        expected = 12 + 4 * n * d
-        if len(blob) != expected:
-            raise ValueError(
-                f"embedding payload is {len(blob)} bytes, expected "
-                f"{expected}")
-        data = np.frombuffer(blob, dtype="<f4", offset=12)
-        return data.astype(np.float64).reshape(n, d)
-    lines = blob.decode("ascii").splitlines()
-    if not lines:
-        raise ValueError("empty embedding file")
-    head = lines[0].split()
-    if len(head) != 4 or " ".join(head[:2]) != EMB_TEXT_HEADER:
-        raise ValueError(f"bad embedding header {lines[0]!r}")
-    n, d = int(head[2]), int(head[3])
-    rows = [ln.split() for ln in lines[1:] if ln.strip()]
-    if len(rows) != n:
-        raise ValueError(f"embedding file has {len(rows)} rows, header "
-                         f"says {n}")
-    out = np.empty((n, d))
-    for i, row in enumerate(rows):
-        if len(row) != d:
-            raise ValueError(f"embedding row {i} has {len(row)} values, "
-                             f"header says {d}")
-        out[i] = [float(v) for v in row]
-    return out
+    if blob[:4] != EMB_MAGIC:
+        raise ValueError(f"{path} is not a DKEM embedding file")
+    if len(blob) < 12:
+        raise ValueError("truncated embedding file header")
+    n, d = struct.unpack("<II", blob[4:12])
+    expected = 12 + 4 * n * d
+    if len(blob) != expected:
+        raise ValueError(
+            f"embedding payload is {len(blob)} bytes, expected {expected}")
+    data = np.frombuffer(blob, dtype="<f4", offset=12)
+    return data.astype(np.float64).reshape(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +291,9 @@ class DiarizeConfig:
 
     embedding picks the segment representation; backend picks the
     clusterer. known_k overrides count estimation (required for the
-    kmeans and sc-fixed-p back-ends); p fixes the binarization count in
-    sc-fixed-p mode.
+    kmeans and sc-fixed-p back-ends). p fixes the binarization count and
+    applies only to sc-fixed-p (default: the top of the default p range);
+    nme-sc ignores it and picks p by the NME scan.
     """
 
     embedding: str = "xvector-raw"
@@ -384,34 +359,22 @@ def run_diarization(
             if cfg.known_k not in (None, 1):
                 raise ValueError("single-segment session cannot hold "
                                  f"{cfg.known_k} speakers")
-            labels, k_used, inertia = np.zeros(1, dtype=np.int64), 1, 0.0
+            asg = ClusterAssignment(np.zeros(1, dtype=np.int64), 1, 0.0)
+        elif cfg.known_k is None and cfg.backend != "nme-sc":
+            raise ValueError(f"{cfg.backend} backend needs known_k")
         elif cfg.backend == "kmeans":
-            if cfg.known_k is None:
-                raise ValueError("kmeans backend needs known_k")
             asg = kmeans(_unit_rows(x), cfg.known_k,
                          restarts=cfg.restarts, seed=cfg.seed)
-            labels, k_used, inertia = asg.labels, asg.k, asg.inertia
-        elif cfg.backend == "sc-fixed-p":
-            if cfg.known_k is None:
-                raise ValueError("sc-fixed-p backend needs known_k")
-            asg, _ = spectral_cluster(x, k=cfg.known_k, p=cfg.p,
-                                      k_max=k_max,
-                                      restarts=cfg.restarts, seed=cfg.seed)
-            p_used = cfg.p if cfg.p is not None else default_p_range(n)[-1]
-            labels, k_used, inertia = asg.labels, asg.k, asg.inertia
         else:
-            if cfg.known_k is None:
-                asg, nme = spectral_cluster(x, k_max=k_max,
-                                            restarts=cfg.restarts,
-                                            seed=cfg.seed)
+            a = cosine_affinity(x)
+            if cfg.backend == "nme-sc":
+                nme = nme_select(a, k_max=k_max)
+                p_used = nme.p_hat
             else:
-                nme = nme_select(cosine_affinity(x), k_max=k_max)
-                asg, _ = spectral_cluster(x, k=cfg.known_k, p=nme.p_hat,
-                                          k_max=k_max,
-                                          restarts=cfg.restarts,
-                                          seed=cfg.seed)
-            p_used = nme.p_hat
-            labels, k_used, inertia = asg.labels, asg.k, asg.inertia
+                p_used = cfg.p if cfg.p is not None else default_p_range(n)[-1]
+            k = cfg.known_k if cfg.known_k is not None else nme.k_hat
+            asg = spectral_partition(a, p_used, k, cfg.restarts, cfg.seed)
+        labels, k_used, inertia = asg.labels, asg.k, asg.inertia
         timeline = labels_to_timeline(
             segments, [f"spk{c:02d}" for c in labels])
         diagnostics = {

@@ -193,25 +193,22 @@ def episode_loss_and_grads(
     e_params: MlpParams, episode: Episode, n_s: int
 ) -> Tuple[float, MlpGrads, Dict[str, float]]:
     """Embed an episode with the raw-logit encoder view and backpropagate
-    the prototypical loss through both support and query branches."""
+    the prototypical loss through both support and query branches.
+
+    Support and query rows go through the encoder as one stacked batch, so
+    one forward and one backward pass give the summed gradient of both."""
     view = logits_view(e_params)
     n_c, _, dim = episode.support.shape
-    n_q = episode.query.shape[1]
-    sup_flat = episode.support.reshape(n_c * n_s, dim)
-    qry_flat = episode.query.reshape(n_c * n_q, dim)
-
-    sup_emb, sup_tape = mlp_forward(view, sup_flat)
-    qry_emb, qry_tape = mlp_forward(view, qry_flat)
-    protos = compute_prototypes(sup_emb.reshape(n_c, n_s, -1))
-    labels = np.repeat(np.arange(n_c), n_q)
-    loss, _, grad_q, grad_p = proto_loss(protos, qry_emb, labels)
-
-    grads = MlpGrads.zeros_like(view)
-    gq, _ = mlp_backward(qry_tape, grad_q)
+    n_sup = n_c * n_s
+    rows = np.concatenate([episode.support.reshape(n_sup, dim),
+                           episode.query.reshape(-1, dim)])
+    emb, tape = mlp_forward(view, rows)
+    protos = compute_prototypes(emb[:n_sup].reshape(n_c, n_s, -1))
+    labels = np.repeat(np.arange(n_c), episode.query.shape[1])
+    loss, _, grad_q, grad_p = proto_loss(protos, emb[n_sup:], labels)
     # prototype gradient spreads evenly over that speaker's supports
-    up_sup = np.repeat(grad_p / n_s, n_s, axis=0)
-    gs, _ = mlp_backward(sup_tape, up_sup)
-    grads.add_scaled(gq).add_scaled(gs)
+    upstream = np.concatenate([np.repeat(grad_p / n_s, n_s, axis=0), grad_q])
+    grads, _ = mlp_backward(tape, upstream)
     return loss, grads, {"n_c": n_c, "loss": loss}
 
 

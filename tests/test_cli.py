@@ -282,7 +282,7 @@ class TestDiarize:
             n = len(uniform_segments(s))
             means = np.eye(16)[(np.arange(n) >= n // 2).astype(int)]
             save_embeddings(means + 0.05 * rng.standard_normal((n, 16)),
-                            data / f"{s.session}.dkem", binary=True)
+                            data / f"{s.session}.dkem")
             lines.append(f"session {s.session} emb={s.session}.dkem k=2")
         (data / "corpus.sad").write_text(format_sad(sads))
         (data / "manifest.txt").write_text("\n".join(lines) + "\n")

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse.csgraph import connected_components
 
 from deskdiar.autodiff import ShapeError
 from deskdiar.clustering import (
     DEFAULT_K_MAX,
+    GAP_FLOOR,
     ClusterAssignment,
     DegenerateAffinityError,
     EigenConvergenceError,
@@ -376,6 +378,25 @@ class TestNmeSelect:
         a = np.kron(np.eye(6), np.ones((2, 2)))
         with pytest.raises(DegenerateAffinityError):
             nme_select(a, p_range=[1], k_max=5)
+
+    def test_rounding_noise_gaps_degenerate(self):
+        # planted 3-speaker sessions scanned at p=1 alone: where the graph
+        # has more components than the 10-wide window, every window gap is
+        # rounding noise (about 1e-16) and must not yield a pick
+        degenerate = 0
+        for seed in range(20):
+            srng = np.random.default_rng(seed)
+            means = srng.standard_normal((3, 16))
+            x = means[np.arange(60) % 3] + 0.3 * srng.standard_normal((60, 16))
+            a = cosine_affinity(x)
+            n_comp, _ = connected_components(binarize_symmetrize(a, 1))
+            if n_comp > DEFAULT_K_MAX:
+                degenerate += 1
+                with pytest.raises(DegenerateAffinityError):
+                    nme_select(a, p_range=[1])
+            else:
+                assert nme_select(a, p_range=[1]).trace[0]["g_p"] > GAP_FLOOR
+        assert 0 < degenerate < 20
 
     def test_validation_errors(self, rng):
         a = cosine_affinity(rng.standard_normal((8, 3)))

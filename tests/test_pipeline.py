@@ -255,17 +255,10 @@ class TestFormats:
         with pytest.raises(ValueError, match="line 1"):
             parse_sad("s1 zero 1.0\n")
 
-    def test_embeddings_text_round_trip_exact(self, rng, tmp_path):
-        x = rng.standard_normal((5, 3))
-        path = tmp_path / "emb.txt"
-        save_embeddings(x, path)
-        assert path.read_text().startswith("EMB 1 5 3\n")
-        assert np.array_equal(load_embeddings(path), x)
-
     def test_embeddings_binary_round_trip(self, rng, tmp_path):
         x = rng.standard_normal((7, 4))
         path = tmp_path / "emb.dkem"
-        save_embeddings(x, path, binary=True)
+        save_embeddings(x, path)
         assert path.read_bytes()[:4] == b"DKEM"
         back = load_embeddings(path)
         assert back.shape == (7, 4)
@@ -274,20 +267,14 @@ class TestFormats:
     def test_embeddings_corrupt_files(self, rng, tmp_path):
         x = rng.standard_normal((3, 2))
         binp = tmp_path / "emb.dkem"
-        save_embeddings(x, binp, binary=True)
+        save_embeddings(x, binp)
         blob = binp.read_bytes()
         (tmp_path / "trunc.dkem").write_bytes(blob[:-2])
         with pytest.raises(ValueError, match="expected"):
             load_embeddings(tmp_path / "trunc.dkem")
         txt = tmp_path / "emb.txt"
-        txt.write_text("EMB 2 3 2\n")
-        with pytest.raises(ValueError, match="header"):
-            load_embeddings(txt)
-        txt.write_text("EMB 1 2 2\n1.0 2.0\n")
-        with pytest.raises(ValueError, match="rows"):
-            load_embeddings(txt)
-        txt.write_text("EMB 1 1 2\n1.0 2.0 3.0\n")
-        with pytest.raises(ValueError, match="row 0"):
+        txt.write_text("EMB 1 1 2\n1.0 2.0\n")
+        with pytest.raises(ValueError, match="emb.txt is not a DKEM"):
             load_embeddings(txt)
 
 
@@ -362,6 +349,27 @@ class TestRunDiarization:
             s, x, DiarizeConfig(backend="nme-sc", known_k=3))
         assert k_hat == 3
         assert diag["nme"] is not None  # p still auto-tuned
+
+    def test_one_affinity_per_session(self, rng, monkeypatch):
+        s, segs, x, _ = planted_session(rng)
+        calls = []
+
+        def counted(y):
+            calls.append(y.shape)
+            return cosine_affinity(y)
+
+        monkeypatch.setattr("deskdiar.clustering.cosine_affinity", counted)
+        monkeypatch.setattr("deskdiar.pipeline.cosine_affinity", counted)
+        fixed = DiarizeConfig(backend="sc-fixed-p", known_k=2, seed=3)
+        for cfg in (DiarizeConfig(), DiarizeConfig(known_k=3), fixed):
+            calls.clear()
+            tl, _, diag = run_diarization(s, x, cfg)
+            assert len(calls) == 1, cfg
+            if cfg.known_k == 3:
+                assert diag["p_used"] == diag["nme"].p_hat
+        asg, _ = spectral_cluster(x, k=2, seed=3)
+        assert tl == labels_to_timeline(
+            segs, [f"spk{c:02d}" for c in asg.labels])
 
     def test_encoder_sources(self, rng):
         s, segs, x, _ = planted_session(rng)

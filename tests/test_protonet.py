@@ -5,9 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from deskdiar.autodiff import Layer, MlpParams, ShapeError
+from deskdiar.autodiff import (
+    Layer,
+    MlpParams,
+    ShapeError,
+    mlp_backward,
+    mlp_forward,
+)
 from deskdiar.gan import LabeledEmbeddings
-from deskdiar.models import LatentConfig, MlpCheckpoint, Provenance
+from deskdiar.models import (
+    LatentConfig,
+    MlpCheckpoint,
+    Provenance,
+    logits_view,
+)
 from deskdiar.protonet import (
     Episode,
     EpisodeConfigError,
@@ -224,6 +235,44 @@ def test_episode_gradients_match_fd(rng):
     fd = fd_param_grads(
         lambda p: episode_loss_and_grads(p, episode, n_s=4)[0], e)
     assert_grads_close(grads, fd, rtol=1e-4)
+
+
+def two_pass_episode_loss_and_grads(e_params, episode, n_s):
+    """Reference: support and query through separate forward and backward
+    passes, their parameter gradients summed."""
+    view = logits_view(e_params)
+    n_c, _, dim = episode.support.shape
+    sup_emb, sup_tape = mlp_forward(view, episode.support.reshape(-1, dim))
+    qry_emb, qry_tape = mlp_forward(view, episode.query.reshape(-1, dim))
+    protos = compute_prototypes(sup_emb.reshape(n_c, n_s, -1))
+    labels = np.repeat(np.arange(n_c), episode.query.shape[1])
+    loss, _, grad_q, grad_p = proto_loss(protos, qry_emb, labels)
+    gq, _ = mlp_backward(qry_tape, grad_q)
+    gs, _ = mlp_backward(sup_tape, np.repeat(grad_p / n_s, n_s, axis=0))
+    return loss, [a + b for a, b in zip(gq.weights + gq.biases,
+                                        gs.weights + gs.biases)]
+
+
+def test_stacked_episode_pass_matches_two_pass_reference():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        e = random_params(rng, (32, 64, 64, 48, 16), final="softmax-tail",
+                          tail=6, scale=0.3)
+        episode = Episode(speakers=np.arange(10),
+                          support=rng.standard_normal((10, 10, 32)),
+                          query=rng.standard_normal((10, 10, 32)))
+        loss, grads, _ = episode_loss_and_grads(e, episode, n_s=10)
+        ref_loss, ref = two_pass_episode_loss_and_grads(e, episode, 10)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        got = grads.weights + grads.biases
+        final_bias = len(grads.weights) + len(grads.biases) - 1
+        for i, (g, r) in enumerate(zip(got, ref)):
+            if i == final_bias:
+                # the loss sees only differences of embeddings, so this
+                # gradient is zero up to rounding on both sides
+                assert np.abs(g).max() < 1e-13 and np.abs(r).max() < 1e-13
+            else:
+                assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
 
 
 # --------------------------------------------------------------- fine-tune
