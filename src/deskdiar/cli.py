@@ -33,6 +33,7 @@ from .metrics import (
     mapd_poc,
     parse_rttm,
     report_csv,
+    turn_ticks,
 )
 from .models import LatentConfig, load_checkpoint, save_checkpoint
 from .pipeline import (
@@ -488,25 +489,40 @@ def cmd_diarize(args: argparse.Namespace) -> int:
 
 
 def _frame_label_pairs(reference: Timeline, hypothesis: Timeline
-                       ) -> Tuple[List[str], List[str]]:
-    """Per-frame speaker labels over frames where the reference is active."""
-    frame_ms = round(PURITY_FRAME_S * 1000)
-    spans = list(reference.turns) + list(hypothesis.turns)
-    end_ms = max(round((onset + dur) * 1000) for onset, dur, _ in spans)
-    n = -(-end_ms // frame_ms)
-    mids = np.arange(n) * frame_ms + frame_ms / 2.0
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference and hypothesis speaker codes of the frames that hold one
+    reference speaker.
 
-    def paint(timeline: Timeline) -> np.ndarray:
-        labels = np.full(n, "", dtype=object)
-        for onset, dur, lab in timeline.turns:
-            lo, hi = round(onset * 1000), round((onset + dur) * 1000)
-            labels[(mids >= lo) & (mids < hi)] = lab
-        return labels
+    Frames are PURITY_FRAME_S long; a turn holds the frames whose midpoint
+    it contains. Frames with no reference speaker, or with more than one,
+    are left out, since purity is a single-label measure. Where
+    hypothesis turns overlap, the one that starts last keeps the frame,
+    and frames with no hypothesis speaker share the code -1. Codes index
+    each side's sorted speaker labels.
+    """
+    f = round(PURITY_FRAME_S * 1000)
+    ref = turn_ticks(reference)
+    hyp = turn_ticks(hypothesis)
+    n = -(-max(ref[1].max(initial=0), hyp[1].max(initial=0)) // f)
 
-    ref_labels = paint(reference)
-    hyp_labels = paint(hypothesis)
-    keep = ref_labels != ""
-    return list(ref_labels[keep]), list(hyp_labels[keep])
+    def paint(ticks) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each frame's speaker code, and each turn's first and stop
+        frame: a turn from lo to hi holds the frames i with
+        lo <= f * i + f / 2 < hi."""
+        starts, ends, labels, _ = ticks
+        first = np.maximum(-((f - 2 * starts) // (2 * f)), 0)
+        stop = -((f - 2 * ends) // (2 * f))
+        codes = np.full(n, -1, dtype=np.int32)
+        for i, j, lab in zip(first.tolist(), stop.tolist(), labels.tolist()):
+            codes[i:j] = lab
+        return codes, first, stop
+
+    ref_codes, first, stop = paint(ref)
+    held = np.zeros(n + 1, dtype=np.int32)
+    np.add.at(held, first, 1)
+    np.add.at(held, stop, -1)
+    single = np.cumsum(held[:n], dtype=np.int32) == 1
+    return ref_codes[single], paint(hyp)[0][single]
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -526,6 +542,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     for session in sorted(refs):
         try:
             report = der(refs[session], hyps[session], cfg["collar_s"])
+            true_frames, hyp_frames = _frame_label_pairs(refs[session],
+                                                         hyps[session])
+            purities.append(cluster_purity(true_frames, hyp_frames))
         except (ValueError, DerUndefinedError) as exc:
             if exc.args and isinstance(exc.args[0], str):
                 exc.args = (f"session {session}: {exc.args[0]}",) \
@@ -534,9 +553,6 @@ def cmd_score(args: argparse.Namespace) -> int:
         rows.append((session, report))
         counts.append(CountEstimate(session, len(refs[session].speakers),
                                     len(hyps[session].speakers)))
-        true_frames, hyp_frames = _frame_label_pairs(refs[session],
-                                                     hyps[session])
-        purities.append(cluster_purity(true_frames, hyp_frames))
 
     mapd, poc = mapd_poc(counts)
     csv_text = report_csv(rows)

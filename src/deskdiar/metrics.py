@@ -5,12 +5,18 @@ summaries (mean absolute percentage deviation and percentage of correct
 count), segment-level cluster purity, and the CSV report the CLI prints.
 Interval arithmetic runs on integer millisecond ticks so collar slicing
 is exact.
+
+DER follows NIST md-eval, so overlapping speech on either side is scored:
+where N_ref reference and N_hyp hypothesis speakers are active, missed
+speech is max(0, N_ref - N_hyp), false alarm max(0, N_hyp - N_ref) and
+confusion min(N_ref, N_hyp) less the correctly mapped speakers. Scored
+time sums N_ref, so under overlap it can exceed the wall time scored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -103,69 +109,78 @@ def parse_rttm(text: str) -> Dict[str, Timeline]:
 # DER
 # ---------------------------------------------------------------------------
 
-def _ticks(timeline: Timeline) -> List[Tuple[int, int, str]]:
-    return [(round(o * MS), round((o + d) * MS), lab)
-            for o, d, lab in timeline.turns]
+def turn_ticks(timeline: Timeline
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[str]]:
+    """Turn onsets and ends in integer ticks, each turn's label code, and
+    the sorted labels the codes index."""
+    onset = np.array([o for o, _, _ in timeline.turns], dtype=np.float64)
+    dur = np.array([d for _, d, _ in timeline.turns], dtype=np.float64)
+    labels = sorted({lab for _, _, lab in timeline.turns})
+    idx = {lab: i for i, lab in enumerate(labels)}
+    codes = np.array([idx[lab] for _, _, lab in timeline.turns],
+                     dtype=np.int64)
+    # np.rint rounds half to even, as round() does
+    return (np.rint(onset * MS).astype(np.int64),
+            np.rint((onset + dur) * MS).astype(np.int64), codes, labels)
 
 
-def _active(turns: Sequence[Tuple[int, int, str]], lo: int, hi: int,
-            side: str) -> Optional[str]:
-    labs = [lab for a, b, lab in turns if a <= lo and hi <= b]
-    if len(labs) > 1:
-        raise ValueError(f"overlapping {side} speech is not scoreable")
-    return labs[0] if labs else None
+def _covering(starts: np.ndarray, ends: np.ndarray,
+              lo: np.ndarray) -> np.ndarray:
+    """How many spans [starts, ends) hold each tick in lo."""
+    return (np.searchsorted(np.sort(starts), lo, side="right")
+            - np.searchsorted(np.sort(ends), lo, side="right"))
+
+
+def _activity(starts: np.ndarray, ends: np.ndarray, codes: np.ndarray,
+              n_labels: int, lo: np.ndarray) -> np.ndarray:
+    """(labels, cells) booleans: label speaks in the cell starting at lo."""
+    out = np.empty((n_labels, len(lo)), dtype=bool)
+    for j in range(n_labels):
+        mine = codes == j
+        out[j] = _covering(starts[mine], ends[mine], lo) > 0
+    return out
 
 
 def der(reference: Timeline, hypothesis: Timeline,
         collar: float = 0.25) -> DerReport:
-    """NIST-style diarization error rate.
+    """NIST md-eval diarization error rate.
 
-    The time axis is cut at every turn boundary and collar edge; cells
-    within +-collar of a reference boundary are excluded; the speaker
-    mapping maximizing correctly attributed time is found by optimal
-    assignment on the ref x hyp overlap matrix.
+    The time axis is cut at every turn boundary and collar edge, so each
+    cell lies wholly inside or outside every turn and every collar. Cells
+    within +-collar of a reference boundary are not scored. In a scored
+    cell of length d with N_ref reference and N_hyp hypothesis speakers:
+    missed time is max(0, N_ref - N_hyp) * d, false alarm
+    max(0, N_hyp - N_ref) * d, and confusion min(N_ref, N_hyp) * d less
+    the correct time, which the one-to-one speaker mapping maximizing
+    correctly attributed time (optimal assignment on the ref x hyp
+    overlap matrix) earns for each mapped pair both active. Scored time
+    sums N_ref * d, so under overlapping reference speech it exceeds the
+    wall time scored.
     """
     if collar < 0:
         raise ValueError("collar must be nonnegative")
-    ref = _ticks(reference)
-    hyp = _ticks(hypothesis)
+    ref_s, ref_e, ref_c, ref_labels = turn_ticks(reference)
+    hyp_s, hyp_e, hyp_c, hyp_labels = turn_ticks(hypothesis)
     collar_t = round(collar * MS)
 
-    edges = {b for a, e, _ in ref for b in (a, e)}
-    cuts = set(edges)
-    for b in edges:
-        cuts.update((b - collar_t, b + collar_t))
-    for a, e, _ in hyp:
-        cuts.update((a, e))
-    grid = sorted(cuts)
+    edges = np.concatenate([ref_s, ref_e])
+    grid = np.unique(np.concatenate(
+        [edges, edges - collar_t, edges + collar_t, hyp_s, hyp_e]))
+    lo, d = grid[:-1], np.diff(grid)
+    # a cell is inside the collar of edge b iff b - collar <= lo < b + collar
+    keep = _covering(edges - collar_t, edges + collar_t, lo) == 0
+    lo, d = lo[keep], d[keep]
+    ref_on = _activity(ref_s, ref_e, ref_c, len(ref_labels), lo)
+    hyp_on = _activity(hyp_s, hyp_e, hyp_c, len(hyp_labels), lo)
+    n_ref, n_hyp = ref_on.sum(axis=0), hyp_on.sum(axis=0)
 
-    ref_labels = sorted({lab for _, _, lab in ref})
-    hyp_labels = sorted({lab for _, _, lab in hyp})
-    overlap = np.zeros((len(ref_labels), len(hyp_labels)))
-    ref_idx = {lab: i for i, lab in enumerate(ref_labels)}
-    hyp_idx = {lab: i for i, lab in enumerate(hyp_labels)}
-
-    scored = missed = fa = both = 0
-    for lo, hi in zip(grid, grid[1:]):
-        if hi <= lo:
-            continue
-        if any(b - collar_t <= lo and hi <= b + collar_t for b in edges):
-            continue
-        r = _active(ref, lo, hi, "reference")
-        h = _active(hyp, lo, hi, "hypothesis")
-        d = hi - lo
-        if r is not None:
-            scored += d
-            if h is None:
-                missed += d
-            else:
-                both += d
-                overlap[ref_idx[r], hyp_idx[h]] += d
-        elif h is not None:
-            fa += d
-
+    scored = int(n_ref @ d)
     if scored == 0:
         raise DerUndefinedError("no scored reference speech")
+    missed = int(np.maximum(n_ref - n_hyp, 0) @ d)
+    fa = int(np.maximum(n_hyp - n_ref, 0) @ d)
+    both = int(np.minimum(n_ref, n_hyp) @ d)
+    overlap = (ref_on * d.astype(np.float64)) @ hyp_on.T.astype(np.float64)
 
     correct = 0.0
     mapping: Dict[str, str] = {}
@@ -200,6 +215,22 @@ def mapd_poc(estimates: Sequence[CountEstimate]) -> Tuple[float, float]:
     return (100.0 * float(np.mean(devs)), 100.0 * float(np.mean(hits)))
 
 
+def _codes(labels: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """np.unique(labels, return_inverse=True): the sorted distinct labels
+    and each label's index among them. Integer labels spanning fewer
+    values than there are labels take one bincount pass, not a sort."""
+    arr = np.asarray(labels).ravel()
+    if arr.dtype.kind in "iu" and arr.size:
+        low = arr.min()
+        if int(arr.max()) - int(low) < arr.size:
+            shifted = (arr - low).astype(np.intp)
+            seen = np.bincount(shifted) > 0
+            return (low + np.flatnonzero(seen).astype(arr.dtype),
+                    (np.cumsum(seen) - 1)[shifted])
+    distinct, inverse = np.unique(arr, return_inverse=True)
+    return distinct, inverse.ravel()
+
+
 def cluster_purity(true_labels: Sequence, hyp_labels: Sequence) -> float:
     """Fraction of segments whose cluster's majority true label matches."""
     if len(true_labels) != len(hyp_labels):
@@ -207,14 +238,12 @@ def cluster_purity(true_labels: Sequence, hyp_labels: Sequence) -> float:
                          f"{len(hyp_labels)} hypothesis labels")
     if not len(true_labels):
         raise ValueError("cannot score an empty segmentation")
-    true_arr = np.asarray(true_labels)
-    hyp_arr = np.asarray(hyp_labels)
-    majority = 0
-    for lab in np.unique(hyp_arr):
-        members = true_arr[hyp_arr == lab]
-        _, counts = np.unique(members, return_counts=True)
-        majority += int(counts.max())
-    return majority / len(true_arr)
+    true_set, true_idx = _codes(true_labels)
+    hyp_set, hyp_idx = _codes(hyp_labels)
+    pairs, pair_idx = _codes(hyp_idx * len(true_set) + true_idx)
+    majority = np.zeros(len(hyp_set), dtype=np.int64)
+    np.maximum.at(majority, pairs // len(true_set), np.bincount(pair_idx))
+    return int(majority.sum()) / len(true_idx)
 
 
 # ---------------------------------------------------------------------------

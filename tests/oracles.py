@@ -3,7 +3,8 @@
 Everything here is deliberately written as straight-line, loop-heavy
 code sharing nothing with the library implementations it checks:
 a duplicate MLP evaluator, central finite differences over parameters
-and inputs, and an exhaustive-permutation DER scorer.
+and inputs, an exhaustive-permutation DER scorer and a per-label purity
+loop.
 """
 
 from __future__ import annotations
@@ -139,11 +140,16 @@ def brute_force_der(
 ) -> Dict[str, float]:
     """Exhaustive-permutation DER on millisecond ticks.
 
-    Turns are (onset s, duration s, label).  Reference and hypothesis
-    must each have at most one active speaker per instant.  Returns the
-    same accounting fields as score.der, computed with independent
-    interval slicing and a mapping found by trying every injective
-    assignment of reference speakers to hypothesis speakers.
+    Turns are (onset s, duration s, label); either side may have several
+    speakers active at once.  Each cell of the cut grid holds the set of
+    active reference and hypothesis speakers, and is scored with NIST
+    md-eval rules: with N_ref and N_hyp speakers active, missed is
+    max(0, N_ref - N_hyp), false alarm max(0, N_hyp - N_ref), confusion
+    min(N_ref, N_hyp) less the mapped (ref, hyp) pairs both active, and
+    scored time N_ref, each times the cell length.  Returns the same
+    accounting fields as score.der, computed with independent interval
+    slicing and a mapping found by trying every injective assignment of
+    reference speakers to hypothesis speakers.
     """
     ref = [(round(o * 1000), round((o + d) * 1000), lab)
            for o, d, lab in reference]
@@ -160,9 +166,7 @@ def brute_force_der(
     cut = sorted(points)
 
     def active(turns, lo, hi):
-        labs = [lab for a, b, lab in turns if a <= lo and hi <= b]
-        assert len(labs) <= 1, "oracle requires single-speaker timelines"
-        return labs[0] if labs else None
+        return frozenset(lab for a, b, lab in turns if a <= lo and hi <= b)
 
     def scored(lo, hi):
         for a, b, _ in ref:
@@ -171,7 +175,7 @@ def brute_force_der(
                     return False
         return True
 
-    cells = []  # (duration, ref label or None, hyp label or None)
+    cells = []  # (duration, active ref labels, active hyp labels)
     for lo, hi in zip(cut, cut[1:]):
         if hi <= lo or not scored(lo, hi):
             continue
@@ -179,9 +183,11 @@ def brute_force_der(
     ref_labels = sorted({lab for _, _, lab in ref})
     hyp_labels = sorted({lab for _, _, lab in hyp})
 
-    scored_ref = sum(d for d, r, _ in cells if r is not None)
-    missed = sum(d for d, r, hh in cells if r is not None and hh is None)
-    fa = sum(d for d, r, hh in cells if r is None and hh is not None)
+    scored_ref = sum(d * len(r) for d, r, _ in cells)
+    missed = sum(d * max(0, len(r) - len(hh)) for d, r, hh in cells)
+    fa = sum(d * max(0, len(hh) - len(r)) for d, r, hh in cells)
+    both = sum(d * min(len(r), len(hh)) for d, r, hh in cells)
+    shared = [(d, r, hh) for d, r, hh in cells if r and hh]
 
     # every injective ref->hyp mapping: permute the larger side over the
     # smaller (a maximal matching never scores worse than a partial one)
@@ -196,13 +202,11 @@ def brute_force_der(
             candidates = (dict(zip(domain, hyp_labels)) for domain in
                           itertools.permutations(ref_labels, len(hyp_labels)))
         for mapping in candidates:
-            correct = sum(d for d, r, hh in cells
-                          if r is not None and hh is not None
-                          and mapping.get(r) == hh)
+            correct = sum(d * sum(mapping.get(lab) in hh for lab in r)
+                          for d, r, hh in shared)
             if correct > best_correct:
                 best_correct = correct
                 best_map = mapping
-    both = sum(d for d, r, hh in cells if r is not None and hh is not None)
     confusion = both - best_correct
     if scored_ref == 0:
         raise ZeroDivisionError("no scored reference speech")
@@ -215,6 +219,20 @@ def brute_force_der(
         "der": der,
         "mapping": best_map,
     }
+
+
+def purity_by_label_loop(true_labels: Sequence, hyp_labels: Sequence
+                         ) -> float:
+    """Cluster purity with one boolean mask per hypothesis label: each
+    cluster scores the count of its most frequent true label."""
+    true_arr = np.asarray(true_labels)
+    hyp_arr = np.asarray(hyp_labels)
+    majority = 0
+    for lab in np.unique(hyp_arr):
+        members = true_arr[hyp_arr == lab]
+        _, counts = np.unique(members, return_counts=True)
+        majority += int(counts.max())
+    return majority / len(true_arr)
 
 
 def jacobi_eigh(mat: np.ndarray, sweeps: int = 100,

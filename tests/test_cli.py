@@ -10,9 +10,10 @@ import pytest
 
 from deskdiar import cli
 from deskdiar.models import load_checkpoint
-from deskdiar.metrics import parse_rttm
+from deskdiar.metrics import cluster_purity, parse_rttm
 from deskdiar.pipeline import (
     SadIntervals,
+    Timeline,
     format_sad,
     save_embeddings,
     uniform_segments,
@@ -362,6 +363,97 @@ class TestScore:
         assert rc == 0
         row = self.all_row((out / "scores.csv").read_text())
         assert row[1:] == [0.0, 0.0, 0.0, 0.0]
+
+
+    def test_overlapped_speech_is_scored(self, tmp_path, capsys):
+        # session o: reference a 0-2 s and b 1-3 s against hypothesis x
+        # 0-3 s; session s: the same turns with the roles swapped
+        line = "SPEAKER {} 1 {:.3f} {:.3f} <NA> <NA> {} <NA> <NA>\n"
+        pair = [line.format("o", 0, 2, "a"), line.format("o", 1, 2, "b")]
+        single = [line.format("o", 0, 3, "x")]
+        ref, hyp = tmp_path / "ref.rttm", tmp_path / "hyp.rttm"
+        ref.write_text("".join(pair + [l.replace(" o ", " s ")
+                                       for l in single]))
+        hyp.write_text("".join(single + [l.replace(" o ", " s ")
+                                         for l in pair]))
+        out = tmp_path / "scores"
+        rc = cli.main(["score", "--reference", str(ref), "--hypothesis",
+                       str(hyp), "--collar", "0", "--out", str(out)])
+        assert rc == 0
+        assert (out / "scores.csv").read_text().splitlines()[1:] == [
+            "o,4.000,1.000,0.000,1.000,50.000",
+            "s,3.000,0.000,1.000,1.000,66.667",
+            "ALL,7.000,1.000,1.000,2.000,57.143"]
+        # o: the overlapped second is left out of purity, so x holds 1 s
+        # of a and 1 s of b; s: b starts last and keeps 1-2 s, so both
+        # hypothesis clusters are pure
+        assert "mean cluster purity: 0.7500" in capsys.readouterr().out
+
+
+def midpoint_mask_pairs(reference, hypothesis):
+    """Frame labels by one midpoint mask per turn, for single-speaker
+    timelines: reference and hypothesis label (or "") of each frame whose
+    midpoint a reference turn holds."""
+    spans = list(reference.turns) + list(hypothesis.turns)
+    end_ms = max(round((o + d) * 1000) for o, d, _ in spans)
+    n = -(-end_ms // 10)
+    mids = np.arange(n) * 10 + 5.0
+
+    def paint(timeline):
+        labels = np.full(n, "", dtype=object)
+        for onset, dur, lab in timeline.turns:
+            lo, hi = round(onset * 1000), round((onset + dur) * 1000)
+            labels[(mids >= lo) & (mids < hi)] = lab
+        return labels
+
+    ref, hyp = paint(reference), paint(hypothesis)
+    return list(ref[ref != ""]), list(hyp[ref != ""])
+
+
+def random_single_speaker_timeline(rng):
+    labs = [f"s{i}" for i in range(rng.integers(1, 5))]
+    t = int(rng.integers(0, 12))   # turn edges before the first midpoint
+    turns = []
+    for _ in range(rng.integers(1, 12)):
+        t += int(rng.integers(0, 40))
+        dur = int(rng.integers(1, 60))
+        if rng.random() < 0.5:     # edges at 10 i + 5 ms tie a midpoint
+            t, dur = 10 * -(-t // 10) + 5, 10 * (dur // 10 + 1)
+        turns.append((t / 1000.0, dur / 1000.0,
+                      labs[rng.integers(len(labs))]))
+        t += dur
+    return Timeline(tuple(turns))
+
+
+class TestFrameLabelPairs:
+    def test_matches_midpoint_masks(self):
+        rng = np.random.default_rng(11)
+        ties = 0
+        for _ in range(300):
+            ref = random_single_speaker_timeline(rng)
+            hyp = random_single_speaker_timeline(rng)
+            ties += sum(round(o * 1000) % 10 == 5 for o, _, _ in ref.turns)
+            true_codes, hyp_codes = cli._frame_label_pairs(ref, hyp)
+            want_true, want_hyp = midpoint_mask_pairs(ref, hyp)
+            assert [ref.speakers[c] for c in true_codes] == want_true
+            assert [hyp.speakers[c] if c >= 0 else "" for c in hyp_codes] \
+                == want_hyp
+        assert ties > 100
+
+    def test_frames_with_two_reference_speakers_left_out(self):
+        ref = Timeline(((0.0, 2.0, "a"), (1.0, 2.0, "b")))
+        hyp = Timeline(((0.0, 3.0, "x"),))
+        true_codes, hyp_codes = cli._frame_label_pairs(ref, hyp)
+        assert true_codes.tolist() == [0] * 100 + [1] * 100
+        assert hyp_codes.tolist() == [0] * 200
+        assert cluster_purity(true_codes, hyp_codes) == 0.5
+
+    def test_hypothesis_turn_starting_last_keeps_frame(self):
+        ref = Timeline(((0.0, 3.0, "a"),))
+        hyp = Timeline(((0.0, 2.0, "y"), (1.0, 2.0, "x")))
+        true_codes, hyp_codes = cli._frame_label_pairs(ref, hyp)
+        assert true_codes.tolist() == [0] * 300
+        assert hyp_codes.tolist() == [1] * 100 + [0] * 200
 
 
 class TestEntryPoints:

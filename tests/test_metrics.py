@@ -1,5 +1,6 @@
-"""Scoring tests: RTTM parsing, DER accounting against the brute-force
-permutation oracle, count summaries, purity, and the report CSV."""
+"""Scoring tests: RTTM parsing, DER accounting (overlap included) against
+the brute-force permutation oracle, count summaries, purity, and the
+report CSV."""
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from deskdiar.metrics import (
     report_csv,
 )
 from deskdiar.pipeline import Timeline, to_rttm
-from oracles import brute_force_der
+from oracles import brute_force_der, purity_by_label_loop
 
 
 def tl(*turns):
@@ -36,6 +37,19 @@ def random_timeline(rng, max_spk=6, max_turns=8):
         turns.append((t, dur, labs[rng.integers(len(labs))]))
         t = round(t + dur, 3)
     return tl(*turns)
+
+
+def overlapping_timeline(rng, max_spk=4, max_turns=4):
+    """Each speaker talks in its own turn sequence, so turns of different
+    speakers overlap freely."""
+    turns = []
+    for i in range(rng.integers(1, max_spk + 1)):
+        t = rng.integers(0, 300) / 100.0
+        for _ in range(rng.integers(1, max_turns + 1)):
+            dur = rng.integers(5, 200) / 100.0
+            turns.append((t, dur, f"s{i}"))
+            t = round(t + dur + rng.integers(0, 150) / 100.0, 3)
+    return tl(*sorted(turns))
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +191,47 @@ class TestDer:
         with pytest.raises(DerUndefinedError):
             der(ref, ref, collar=5.0)
 
-    def test_overlapping_reference_rejected(self):
+    def test_overlapping_speech_md_eval_hand_case(self):
+        # a 0-2 s and b 1-3 s against x 0-3 s: b is missed where both
+        # speak, and x maps to one of them, so the other's 2 s split into
+        # 1 s missed and 1 s confused
         ref = tl((0.0, 2.0, "a"), (1.0, 2.0, "b"))
         hyp = tl((0.0, 3.0, "x"))
-        with pytest.raises(ValueError, match="overlapping reference"):
-            der(ref, hyp, collar=0.0)
-        with pytest.raises(ValueError, match="overlapping hypothesis"):
-            der(hyp, ref, collar=0.0)
+        rep = der(ref, hyp, collar=0.0)
+        assert (rep.scored_s, rep.missed_s, rep.false_alarm_s,
+                rep.confusion_s) == (4.0, 1.0, 0.0, 1.0)
+        assert rep.der_pct == 50.0
+        swapped = der(hyp, ref, collar=0.0)
+        assert (swapped.scored_s, swapped.missed_s, swapped.false_alarm_s,
+                swapped.confusion_s) == (3.0, 0.0, 1.0, 1.0)
+        assert abs(swapped.der_pct - 200.0 / 3.0) < 1e-12
+        assert report_csv([("s", rep), ("t", swapped)]).splitlines()[1:3] \
+            == ["s,4.000,1.000,0.000,1.000,50.000",
+                "t,3.000,0.000,1.000,1.000,66.667"]
+
+    def test_matches_brute_force_with_overlap_on_both_sides(self, rng):
+        collars = (0.0, 0.1, 0.25)
+        checked = 0
+        for trial in range(40):
+            ref = overlapping_timeline(rng)
+            hyp = overlapping_timeline(rng)
+            collar = collars[trial % len(collars)]
+            try:
+                oracle = brute_force_der(ref.turns, hyp.turns, collar)
+            except ZeroDivisionError:
+                with pytest.raises(DerUndefinedError):
+                    der(ref, hyp, collar)
+                continue
+            rep = der(ref, hyp, collar)
+            for mine, theirs in (
+                    (rep.scored_s, oracle["scored"]),
+                    (rep.missed_s, oracle["missed"]),
+                    (rep.false_alarm_s, oracle["false_alarm"]),
+                    (rep.confusion_s, oracle["confusion"]),
+                    (rep.der_pct, oracle["der"])):
+                assert abs(mine - theirs) < 1e-9
+            checked += 1
+        assert checked >= 30
 
     def test_negative_collar_rejected(self):
         ref = tl((0.0, 1.0, "a"))
@@ -242,6 +290,22 @@ class TestClusterPurity:
         truth = list("AABBBCCCC")
         hyp = [0, 0, 0, 1, 1, 1, 2, 2, 2]
         assert abs(cluster_purity(truth, hyp) - 7.0 / 9.0) < 1e-12
+
+    def test_matches_per_label_loop(self, rng):
+        cases = []
+        for n in (1, 7, 300):
+            true_int = rng.integers(-2, 6, n)
+            hyp_int = rng.integers(0, 9, n)
+            cases += [
+                (true_int, hyp_int),
+                ([f"spk{v}" for v in true_int], [f"c{v}" for v in hyp_int]),
+                (list(true_int), ["only"] * n),
+                ([f"t{i}" for i in range(n)], list(range(n))),
+                (list(true_int), [f"d{i}" for i in rng.permutation(n)]),
+            ]
+        for true_labels, hyp_labels in cases:
+            assert cluster_purity(true_labels, hyp_labels) \
+                == purity_by_label_loop(true_labels, hyp_labels)
 
     def test_validation(self):
         with pytest.raises(ShapeError):
