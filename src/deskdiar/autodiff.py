@@ -1,23 +1,22 @@
-"""Dense MLP numerics: forward/backward passes, input gradients, the
-parameter gradient of the critic's gradient-norm penalty, and Adam.
+"""Dense MLP numerics: forward/backward passes, the critic's fused
+adversarial and gradient-norm-penalty gradient, and Adam.
 
 All math is 64-bit and functional: no operation mutates its arguments.
 Matrices are numpy float64 arrays with row-major batch semantics (one
-sample per row).  Backward passes are exact reverse-mode derivatives of
-the recorded forward pass; the penalty gradient treats ReLU masks as
-constants, which is exact almost everywhere because the second
-derivative of ReLU vanishes off the kink.
+sample per row).  A network's parameters are one contiguous vector,
+``MlpParams.flat``, and every parameter gradient is one vector of the
+same layout, so Adam runs once per network. Backward passes are exact
+reverse-mode derivatives of the recorded forward pass; the penalty
+gradient treats ReLU masks as constants, which is exact almost
+everywhere because the second derivative of ReLU vanishes off the kink.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 RELU = "relu"
 LINEAR = "linear"
@@ -88,16 +87,58 @@ class Layer:
         return self.weight.shape[1]
 
 
-@dataclass(frozen=True)
+Arch = Tuple[Tuple[int, int, str, int], ...]
+
+
+def _views(vec: np.ndarray, arch: Arch) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views of each layer's slice of a flat vector."""
+    size = sum(i * o + o for i, o, _, _ in arch)
+    if vec.shape != (size,):
+        raise ShapeError(f"flat vector shape {vec.shape} != ({size},)")
+    out, off = [], 0
+    for in_dim, out_dim, _, _ in arch:
+        end = off + in_dim * out_dim
+        out.append((vec[off:end].reshape(in_dim, out_dim),
+                    vec[end:end + out_dim]))
+        off = end + out_dim
+    return out
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class MlpParams:
-    """Ordered fully connected layers with chained dimensions."""
+    """Ordered fully connected layers with chained dimensions.
+
+    ``flat`` holds every parameter, laid out like the checkpoint payload:
+    layer 0 weight (row-major), layer 0 bias, layer 1 weight, and so on.
+    Each layer's ``weight`` and ``bias`` are views into it.
+    ``MlpParams(layers)`` copies the layers' arrays into a fresh vector;
+    ``MlpParams.from_flat`` wraps an existing vector without copying.
+    """
 
     layers: Tuple[Layer, ...]
+    flat: np.ndarray
 
-    def __post_init__(self):
-        layers = tuple(self.layers)
-        if not layers:
+    def __init__(self, layers: Sequence[Layer]):
+        layers = tuple(layers)
+        flat = np.concatenate([a.reshape(-1) for l in layers
+                               for a in (l.weight, l.bias)] or [np.empty(0)])
+        self._bind(flat, tuple((l.in_dim, l.out_dim, l.activation, l.tail)
+                               for l in layers))
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, arch: Arch) -> "MlpParams":
+        """Wrap ``flat`` as the network with one (in_dim, out_dim,
+        activation, tail) tuple per layer; the layers are views of it."""
+        params = cls.__new__(cls)
+        params._bind(np.asarray(flat, dtype=np.float64), tuple(arch))
+        return params
+
+    def _bind(self, flat: np.ndarray, arch: Arch) -> None:
+        if not arch:
             raise ShapeError("empty network")
+        layers = tuple(Layer(weight=w, bias=b, activation=act, tail=tail)
+                       for (w, b), (_, _, act, tail)
+                       in zip(_views(flat, arch), arch))
         for a, b in zip(layers, layers[1:]):
             if a.out_dim != b.in_dim:
                 raise ShapeError(
@@ -106,6 +147,12 @@ class MlpParams:
             if lay.activation == SOFTMAX_TAIL:
                 raise ShapeError("softmax tail allowed only on the final layer")
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "flat", flat)
+
+    @property
+    def arch(self) -> Arch:
+        return tuple((l.in_dim, l.out_dim, l.activation, l.tail)
+                     for l in self.layers)
 
     @property
     def in_dim(self) -> int:
@@ -115,36 +162,17 @@ class MlpParams:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def dims(self) -> Tuple[int, ...]:
-        return (self.in_dim,) + tuple(l.out_dim for l in self.layers)
-
-    def n_params(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
-
-
-@dataclass
-class MlpGrads:
-    """Gradient container shaped like an MlpParams instance."""
-
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
-
-    @staticmethod
-    def zeros_like(params: MlpParams) -> "MlpGrads":
-        return MlpGrads(
-            weights=[np.zeros_like(l.weight) for l in params.layers],
-            biases=[np.zeros_like(l.bias) for l in params.layers],
-        )
+    def views(self, vec: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weight, bias) views of a vector laid out like
+        ``flat``, such as a gradient or an Adam moment."""
+        return _views(vec, self.arch)
 
 
 def _stamp(params: MlpParams) -> tuple:
     # cheap staleness tripwire: corner entries change under any realistic
     # in-place parameter update
-    parts = []
-    for l in params.layers:
-        parts.append((float(l.weight[0, 0]), float(l.weight[-1, -1]),
-                      float(l.bias[0]), float(l.bias[-1])))
-    return tuple(parts)
+    return tuple(float(a[i]) for l in params.layers
+                 for a in (l.weight.reshape(-1), l.bias) for i in (0, -1))
 
 
 @dataclass
@@ -226,7 +254,7 @@ def mlp_backward(
     tape: Tape,
     upstream: np.ndarray,
     tail_upstream_is_logit_grad: bool = False,
-) -> Tuple[MlpGrads, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Reverse-mode pass over a recorded forward computation.
 
     Args:
@@ -238,12 +266,11 @@ def mlp_backward(
             closed form for cross-entropy losses).
 
     Returns:
-        (gradients shaped like the parameters, gradient w.r.t. the input
-        batch).
+        (parameter gradient as one vector laid out like ``params.flat``,
+        gradient w.r.t. the input batch).
     """
-    d_w, d_b, g = _reverse(tape, upstream, tail_upstream_is_logit_grad,
-                           param_grads=True)
-    return MlpGrads(weights=d_w, biases=d_b), g
+    return _reverse(tape, upstream, tail_upstream_is_logit_grad,
+                    param_grads=True)
 
 
 def mlp_input_backward(tape: Tape, upstream: np.ndarray) -> np.ndarray:
@@ -252,24 +279,23 @@ def mlp_input_backward(tape: Tape, upstream: np.ndarray) -> np.ndarray:
     Skips the parameter gradients, for callers that only pass a gradient
     through a network they do not update.
     """
-    return _reverse(tape, upstream, False, param_grads=False)[2]
+    return _reverse(tape, upstream, False, param_grads=False)[1]
 
 
 def _reverse(tape: Tape, upstream: np.ndarray,
              tail_upstream_is_logit_grad: bool, param_grads: bool):
-    """Shared sweep of mlp_backward: (weight grads, bias grads, input grad);
-    the gradient lists hold None unless ``param_grads``."""
+    """Shared sweep of mlp_backward: (flat parameter gradient, input
+    gradient); the parameter gradient is None unless ``param_grads``."""
     tape.check_fresh()
     u = _as_batch(upstream)
     if u.shape != tape.output.shape:
         raise ShapeError(
             f"upstream shape {u.shape} != output shape {tape.output.shape}")
     params = tape.params
-    n_layers = len(params.layers)
-    d_w: List[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    d_b: List[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
+    grads = np.empty_like(params.flat) if param_grads else None
+    views = params.views(grads) if param_grads else None
     g = u
-    for idx in range(n_layers - 1, -1, -1):
+    for idx in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[idx]
         if layer.activation == RELU:
             ga = _masked(g, tape.masks[idx])
@@ -286,42 +312,11 @@ def _reverse(tape: Tape, upstream: np.ndarray,
                 ga_tail = probs * (ut - (ut * probs).sum(axis=1, keepdims=True))
             ga = np.concatenate([g[:, :split], ga_tail], axis=1)
         if param_grads:
-            d_w[idx] = tape.inputs[idx].T @ ga
-            d_b[idx] = ga.sum(axis=0)
+            gw, gb = views[idx]
+            np.matmul(tape.inputs[idx].T, ga, out=gw)
+            ga.sum(axis=0, out=gb)
         g = ga @ layer.weight.T
-    return d_w, d_b, g
-
-
-def _require_scalar_output(params: MlpParams) -> None:
-    final = params.layers[-1]
-    if params.out_dim != 1 or final.activation == SOFTMAX_TAIL:
-        raise ShapeError(
-            "operation requires a scalar-output network "
-            f"(out_dim={params.out_dim}, final activation={final.activation})")
-
-
-def input_gradient(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Per-row gradient of the scalar network output w.r.t. its input."""
-    _require_scalar_output(params)
-    _, tape = mlp_forward(params, x)
-    return mlp_input_backward(tape, np.ones_like(tape.output))
-
-
-def gp_param_gradient(
-    params: MlpParams, x_hat: np.ndarray
-) -> Tuple[float, MlpGrads]:
-    """Penalty mean((||d output/d input||_2 - 1)^2) and its parameter gradient.
-
-    The forward ReLU masks are held fixed while differentiating, so the
-    result is the exact gradient of the mask-frozen (piecewise-linear)
-    function; bias gradients are identically zero under that convention.
-    A 1e-12 term inside the square root keeps zero-gradient rows finite.
-    """
-    x_hat = _as_batch(x_hat)
-    no_rows = np.empty((0, x_hat.shape[1]))
-    _, penalty, grads = critic_param_gradient(
-        params, no_rows, np.empty((0, 1)), x_hat, 1.0)
-    return penalty, grads
+    return grads, g
 
 
 def critic_param_gradient(
@@ -330,19 +325,31 @@ def critic_param_gradient(
     upstream: np.ndarray,
     x_hat: np.ndarray,
     gp_weight: float,
-) -> Tuple[np.ndarray, float, MlpGrads]:
+) -> Tuple[np.ndarray, float, np.ndarray]:
     """Parameter gradient of sum(upstream * D(x)) + gp_weight * GP(x_hat).
 
-    GP is the penalty of gp_param_gradient. The rows of ``x`` and
-    ``x_hat`` share one forward pass and one reverse sweep: seeded with
-    ``upstream`` on the x rows and with 1 on the x_hat rows, the sweep
-    yields the ordinary backprop adjoints for x and, for x_hat, the
-    mask-frozen adjoints of the input gradient that the penalty needs.
-    Each layer's weight gradient is then a single matmul over all rows.
+    GP is the two-sided penalty mean((||dD/dx||_2 - 1)^2) over the x_hat
+    rows, with a 1e-12 term inside the square root that keeps
+    zero-gradient rows finite. Its gradient holds the forward ReLU masks
+    fixed, so it is the exact gradient of the mask-frozen
+    (piecewise-linear) function, and the penalty adds nothing to the bias
+    gradients. With zero x rows the result is the penalty's gradient
+    alone.
 
-    Returns (D(x), penalty, gradients).
+    The rows of ``x`` and ``x_hat`` share one forward pass and one
+    reverse sweep: seeded with ``upstream`` on the x rows and with 1 on
+    the x_hat rows, the sweep yields the ordinary backprop adjoints for x
+    and, for x_hat, the mask-frozen adjoints of the input gradient that
+    the penalty needs. Each layer's weight gradient is then a single
+    matmul over all rows, written into its slice of the flat gradient.
+
+    Returns (D(x), penalty, flat gradient laid out like ``params.flat``).
     """
-    _require_scalar_output(params)
+    final = params.layers[-1]
+    if params.out_dim != 1 or final.activation == SOFTMAX_TAIL:
+        raise ShapeError(
+            "the critic must be a scalar-output network "
+            f"(out_dim={params.out_dim}, final activation={final.activation})")
     x = _as_batch(x)
     x_hat = _as_batch(x_hat)
     u = _as_batch(upstream)
@@ -383,19 +390,24 @@ def critic_param_gradient(
                       out=inputs[idx + 1][k:])
         if tape.masks[idx] is not None:
             _masked(t, tape.masks[idx][k:], out=t)
-    grads = MlpGrads(
-        weights=[inp.T @ dl for inp, dl in zip(inputs, deltas)],
-        biases=[dl[:k].sum(axis=0) for dl in deltas])
+    grads = np.empty_like(params.flat)
+    for (gw, gb), inp, dl in zip(params.views(grads), inputs, deltas):
+        np.matmul(inp.T, dl, out=gw)
+        dl[:k].sum(axis=0, out=gb)
     return out[:k], penalty, grads
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam accumulators shaped like one MlpParams."""
+    """Bias-corrected Adam accumulators for one network.
+
+    ``m`` and ``v`` are flat vectors laid out like the network's
+    ``MlpParams.flat``, so one pass updates the whole network.
+    """
 
     step: int
-    m: MlpGrads
-    v: MlpGrads
+    m: np.ndarray
+    v: np.ndarray
     alpha: float = 1e-4
     beta1: float = 0.5
     beta2: float = 0.9
@@ -408,44 +420,55 @@ class AdamState:
 
 def adam_init(params: MlpParams, alpha: float = 1e-4, beta1: float = 0.5,
               beta2: float = 0.9, eps: float = 1e-8) -> AdamState:
-    return AdamState(step=0, m=MlpGrads.zeros_like(params),
-                     v=MlpGrads.zeros_like(params),
+    return AdamState(step=0, m=np.zeros_like(params.flat),
+                     v=np.zeros_like(params.flat),
                      alpha=alpha, beta1=beta1, beta2=beta2, eps=eps)
 
 
 # elements per Adam block: one block's operands and temporaries fit in L2
 ADAM_BLOCK = 16384
 
+# second moments below the smallest normal float are flushed to zero: a
+# v that small changes no update (sqrt(v / c2) < 5e-154 vanishes against
+# any eps above about 1e-130), and subnormal arithmetic slows every step
+V_FLOOR = np.finfo(np.float64).tiny
+
 
 def _adam_array(state: "AdamState", c1: float, c2: float, p: np.ndarray,
-                m: np.ndarray, v: np.ndarray, g: np.ndarray, idx: int):
-    """Textbook Adam on one array, block by block, into fresh outputs.
+                m: np.ndarray, v: np.ndarray, g: np.ndarray,
+                params: MlpParams):
+    """Textbook Adam on one flat network, block by block, into fresh
+    outputs.
 
     Each block runs the same float operations in the same order as the
     whole-array expressions, so the bits agree. A division by a bias
     correction that has rounded to exactly 1.0 is an identity and is
-    skipped.
+    skipped. A non-finite gradient raises, naming the layer of ``params``
+    that holds its first non-finite entry.
     """
     b1, b2 = state.beta1, state.beta2
     new_p, new_m, new_v = np.empty_like(p), np.empty_like(m), np.empty_like(v)
-    fp, fm, fv, fg = (a.reshape(-1) for a in (p, m, v, g))
-    op, om, ov = (a.reshape(-1) for a in (new_p, new_m, new_v))
-    buf = np.empty(min(fg.size, ADAM_BLOCK))
-    for lo in range(0, fg.size, ADAM_BLOCK):
+    buf = np.empty(min(g.size, ADAM_BLOCK))
+    for lo in range(0, g.size, ADAM_BLOCK):
         blk = slice(lo, lo + ADAM_BLOCK)
-        gb, mb, vb, pb = fg[blk], om[blk], ov[blk], op[blk]
+        gb, mb, vb, pb = g[blk], new_m[blk], new_v[blk], new_p[blk]
         tb = buf[:gb.size]
         if not np.isfinite(gb).all():
-            raise DivergenceError(f"non-finite gradient in layer {idx}")
+            bad = lo + int(np.argmin(np.isfinite(gb)))
+            ends = np.cumsum([l.weight.size + l.bias.size
+                              for l in params.layers])
+            layer = int(np.searchsorted(ends, bad, side="right"))
+            raise DivergenceError(f"non-finite gradient in layer {layer}")
         # m = b1 * m + (1 - b1) * g
-        np.multiply(fm[blk], b1, out=mb)
+        np.multiply(m[blk], b1, out=mb)
         np.multiply(gb, 1.0 - b1, out=tb)
         mb += tb
-        # v = b2 * v + (1 - b2) * g * g
-        np.multiply(fv[blk], b2, out=vb)
+        # v = b2 * v + (1 - b2) * g * g, flushed to 0 below V_FLOOR
+        np.multiply(v[blk], b2, out=vb)
         np.multiply(gb, 1.0 - b2, out=tb)
         tb *= gb
         vb += tb
+        np.copyto(vb, 0.0, where=vb < V_FLOOR)
         # p - alpha * (m / c1) / (sqrt(v / c2) + eps)
         if c2 == 1.0:
             np.sqrt(vb, out=tb)
@@ -459,37 +482,26 @@ def _adam_array(state: "AdamState", c1: float, c2: float, p: np.ndarray,
             np.divide(mb, c1, out=pb)
             pb *= state.alpha
         pb /= tb
-        np.subtract(fp[blk], pb, out=pb)
+        np.subtract(p[blk], pb, out=pb)
     return new_p, new_m, new_v
 
 
 def adam_step(
-    state: AdamState, params: MlpParams, grads: MlpGrads
+    state: AdamState, params: MlpParams, grads: np.ndarray
 ) -> Tuple[MlpParams, AdamState]:
     """One bias-corrected Adam update; returns fresh params and state.
 
-    The arguments are never written, so a caller can keep them as a
-    rollback point.
+    ``grads`` is one vector laid out like ``params.flat``. The arguments
+    are never written, so a caller can keep them as a rollback point.
     """
+    if np.shape(grads) != params.flat.shape:
+        raise ShapeError(f"gradient shape {np.shape(grads)} != parameter "
+                         f"vector shape {params.flat.shape}")
     t = state.step + 1
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    new_layers = []
-    new_m = MlpGrads(weights=[], biases=[])
-    new_v = MlpGrads(weights=[], biases=[])
-    for idx, (layer, mw, vw, mb, vb, gw, gb) in enumerate(zip(
-            params.layers, state.m.weights, state.v.weights,
-            state.m.biases, state.v.biases, grads.weights, grads.biases)):
-        if gw.shape != layer.weight.shape or gb.shape != layer.bias.shape:
-            raise ShapeError(f"gradient shape mismatch in layer {idx}")
-        w, mw, vw = _adam_array(state, c1, c2, layer.weight, mw, vw, gw, idx)
-        b, mb, vb = _adam_array(state, c1, c2, layer.bias, mb, vb, gb, idx)
-        new_layers.append(Layer(weight=w, bias=b, activation=layer.activation,
-                                tail=layer.tail))
-        new_m.weights.append(mw)
-        new_m.biases.append(mb)
-        new_v.weights.append(vw)
-        new_v.biases.append(vb)
-    new_state = AdamState(step=t, m=new_m, v=new_v, alpha=state.alpha,
+    p, m, v = _adam_array(state, c1, c2, params.flat, state.m, state.v,
+                          grads, params)
+    new_state = AdamState(step=t, m=m, v=v, alpha=state.alpha,
                           beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return MlpParams(layers=tuple(new_layers)), new_state
+    return MlpParams.from_flat(p, params.arch), new_state

@@ -544,7 +544,11 @@ def cmd_score(args: argparse.Namespace) -> int:
             report = der(refs[session], hyps[session], cfg["collar_s"])
             true_frames, hyp_frames = _frame_label_pairs(refs[session],
                                                          hyps[session])
-            purities.append(cluster_purity(true_frames, hyp_frames))
+            if true_frames.size:
+                purities.append(cluster_purity(true_frames, hyp_frames))
+            else:
+                print(f"deskdiar: session {session}: no single-speaker frame;"
+                      " left out of the mean cluster purity", file=sys.stderr)
         except (ValueError, DerUndefinedError) as exc:
             if exc.args and isinstance(exc.args[0], str):
                 exc.args = (f"session {session}: {exc.args[0]}",) \
@@ -558,7 +562,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     csv_text = report_csv(rows)
     sys.stdout.write(csv_text)
     print(f"speaker count: MAPD {mapd:.2f}%  POC {poc:.2f}%")
-    print(f"mean cluster purity: {float(np.mean(purities)):.4f}")
+    print("mean cluster purity: "
+          + (f"{float(np.mean(purities)):.4f}" if purities else "n/a"))
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -23,13 +23,11 @@ import numpy as np
 
 from .autodiff import (
     DivergenceError,
-    MlpGrads,
     MlpParams,
     ShapeError,
     adam_init,
     adam_step,
     critic_param_gradient,
-    gp_param_gradient,
     mlp_backward,
     mlp_forward,
     mlp_input_backward,
@@ -185,18 +183,6 @@ def interpolate(
     return eps * x_real + (1.0 - eps) * x_fake
 
 
-def gradient_penalty(
-    d_params: MlpParams,
-    x_real: np.ndarray,
-    x_fake: np.ndarray,
-    rng: np.random.Generator,
-    eps: Optional[np.ndarray] = None,
-) -> Tuple[float, MlpGrads]:
-    """Two-sided unit-norm penalty on D's input gradient at interpolates."""
-    x_hat = interpolate(x_real, x_fake, rng, eps)
-    return gp_param_gradient(d_params, x_hat)
-
-
 # --------------------------------------------------------------------------
 # critic update
 # --------------------------------------------------------------------------
@@ -208,8 +194,8 @@ def critic_loss_and_grads(
     cfg: GanTrainConfig,
     rng: Optional[np.random.Generator] = None,
     eps: Optional[np.ndarray] = None,
-) -> Tuple[float, MlpGrads, Dict[str, float]]:
-    """Critic loss (to minimize) and its D-parameter gradient.
+) -> Tuple[float, np.ndarray, Dict[str, float]]:
+    """Critic loss (to minimize) and its flat D-parameter gradient.
 
     loss = w1 * (mean D(fake) - mean D(real)) + w1 * lambda * GP.
 
@@ -267,8 +253,8 @@ def gen_enc_loss_and_grads(
     batch: LatentBatch,
     cfg: GanTrainConfig,
     latent: LatentConfig,
-) -> Tuple[float, MlpGrads, MlpGrads, Dict[str, float]]:
-    """Joint loss -w1*D(G(z)) + w2*COS + w3*CE with grads for G and E."""
+) -> Tuple[float, np.ndarray, np.ndarray, Dict[str, float]]:
+    """Joint loss -w1*D(G(z)) + w2*COS + w3*CE with flat grads for G and E."""
     m = batch.z.shape[0]
     x_fake, tape_g = mlp_forward(g_params, batch.z)
 
@@ -388,9 +374,7 @@ def train_clustergan(
     digest = config_digest(f"{cfg!r}|{latent!r}|x_dim={data.dim}")
     prov = Provenance(stage="clustergan", config_digest=digest,
                       seed=cfg.seed, loss_weights=(cfg.w1, cfg.w2, cfg.w3))
-    out = []
-    for role, params in (("generator", g), ("discriminator", d),
-                         ("encoder", e)):
-        out.append(MlpCheckpoint(role=role, params=params, latent=latent,
-                                 provenance=prov))
-    return out[0], out[1], out[2], log
+    g, d, e = (MlpCheckpoint(role=role, params=params, latent=latent,
+                             provenance=prov) for role, params in
+               (("generator", g), ("discriminator", d), ("encoder", e)))
+    return g, d, e, log

@@ -18,18 +18,15 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import logging
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .autodiff import LINEAR, RELU, SOFTMAX_TAIL, Layer, MlpParams, mlp_forward
-
-logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"DKCK"
 CHECKPOINT_VERSION = 1
@@ -96,11 +93,6 @@ class MlpCheckpoint:
             raise ValueError(
                 f"encoder output dim {self.params.out_dim} != d_n+d_c "
                 f"{self.latent.d_z}")
-
-    @property
-    def arch(self) -> Tuple[Tuple[int, int, str, int], ...]:
-        return tuple((l.in_dim, l.out_dim, l.activation, l.tail)
-                     for l in self.params.layers)
 
 
 def config_digest(text: str) -> str:
@@ -195,12 +187,13 @@ def sample_latent(
 # ---------------------------------------------------------------- encoding
 
 def logits_view(params: MlpParams) -> MlpParams:
-    """The same network with the final softmax tail disabled."""
-    final = params.layers[-1]
-    if final.activation != SOFTMAX_TAIL:
+    """The same network, sharing its parameter vector, with the final
+    softmax tail disabled."""
+    *head, (in_dim, out_dim, act, _) = params.arch
+    if act != SOFTMAX_TAIL:
         return params
-    raw = replace(final, activation=LINEAR, tail=0)
-    return MlpParams(layers=params.layers[:-1] + (raw,))
+    return MlpParams.from_flat(params.flat,
+                               (*head, (in_dim, out_dim, LINEAR, 0)))
 
 
 def encode(E: MlpCheckpoint, x: np.ndarray, mode: EncodeMode) -> np.ndarray:
@@ -251,9 +244,7 @@ def save_checkpoint(ck: MlpCheckpoint, path: Union[str, Path]) -> None:
     for lay in ck.params.layers:
         buf += struct.pack("<IIBI", lay.in_dim, lay.out_dim,
                            _ACT_CODES[lay.activation], lay.tail)
-    for lay in ck.params.layers:
-        buf += np.ascontiguousarray(lay.weight, dtype="<f8").tobytes()
-        buf += np.ascontiguousarray(lay.bias, dtype="<f8").tobytes()
+    buf += ck.params.flat.astype("<f8", copy=False).tobytes()
     path.write_bytes(bytes(buf))
 
     manifest = {
@@ -338,22 +329,9 @@ def load_checkpoint(path: Union[str, Path]) -> MlpCheckpoint:
         raise CheckpointFormatError(
             f"file length {len(blob)} != expected {expected} for the "
             "declared architecture")
-    layers = []
-    for in_dim, out_dim, act, tail in arch:
-        w_count = in_dim * out_dim
-        w = np.frombuffer(blob, dtype="<f8", count=w_count, offset=off)
-        off += w_count * 8
-        b = np.frombuffer(blob, dtype="<f8", count=out_dim, offset=off)
-        off += out_dim * 8
-        try:
-            layers.append(Layer(
-                weight=w.reshape(in_dim, out_dim).copy(),
-                bias=b.copy(), activation=act, tail=tail))
-        except ValueError as exc:
-            raise CheckpointFormatError(
-                f"inconsistent layer shape near offset {off}: {exc}") from exc
     try:
-        params = MlpParams(layers=tuple(layers))
+        flat = np.frombuffer(blob, dtype="<f8", offset=off).astype(np.float64)
+        params = MlpParams.from_flat(flat, arch)
         latent = LatentConfig(d_n=d_n, d_c=d_c, sigma=sigma)
         return MlpCheckpoint(
             role=_ROLES[role_b], params=params, latent=latent,

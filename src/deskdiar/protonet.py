@@ -3,8 +3,10 @@
 Each episode samples N_C speakers, embeds disjoint support and query rows
 with the current encoder, forms per-speaker prototypes as support means,
 and scores queries by a softmax over negative squared Euclidean distances
-to the prototypes. The first two hidden layers stay frozen; the query and
-support branches share the encoder, so gradients flow through both.
+to the prototypes. The query and support branches share the encoder, so
+gradients flow through both. The first ``frozen_layers`` layers are a
+frozen prefix that episodes run through forward only; only the trainable
+suffix behind it is differentiated and updated.
 
 Embeddings here are the raw final-layer outputs (no softmax on the
 categorical tail); that is the representation the fine-tuned encoder later
@@ -22,7 +24,6 @@ import numpy as np
 
 from .autodiff import (
     DivergenceError,
-    MlpGrads,
     MlpParams,
     ShapeError,
     adam_init,
@@ -189,20 +190,24 @@ def proto_loss(
     return loss, probs, grad_q, grad_p
 
 
+def _stacked(episode: Episode) -> np.ndarray:
+    """Support rows, speaker by speaker, then query rows, in one batch."""
+    dim = episode.support.shape[2]
+    return np.concatenate([episode.support.reshape(-1, dim),
+                           episode.query.reshape(-1, dim)])
+
+
 def episode_loss_and_grads(
     e_params: MlpParams, episode: Episode, n_s: int
-) -> Tuple[float, MlpGrads, Dict[str, float]]:
+) -> Tuple[float, np.ndarray, Dict[str, float]]:
     """Embed an episode with the raw-logit encoder view and backpropagate
     the prototypical loss through both support and query branches.
 
     Support and query rows go through the encoder as one stacked batch, so
-    one forward and one backward pass give the summed gradient of both."""
-    view = logits_view(e_params)
-    n_c, _, dim = episode.support.shape
-    n_sup = n_c * n_s
-    rows = np.concatenate([episode.support.reshape(n_sup, dim),
-                           episode.query.reshape(-1, dim)])
-    emb, tape = mlp_forward(view, rows)
+    one forward and one backward pass give the summed gradient of both,
+    as one vector laid out like ``e_params.flat``."""
+    n_c, n_sup = episode.n_c, episode.n_c * n_s
+    emb, tape = mlp_forward(logits_view(e_params), _stacked(episode))
     protos = compute_prototypes(emb[:n_sup].reshape(n_c, n_s, -1))
     labels = np.repeat(np.arange(n_c), episode.query.shape[1])
     loss, _, grad_q, grad_p = proto_loss(protos, emb[n_sup:], labels)
@@ -221,8 +226,12 @@ def finetune_mcgan(
 ) -> Tuple[MlpCheckpoint, List[Dict[str, float]]]:
     """Fine-tune a pre-trained encoder with the prototypical loss.
 
-    The first cfg.frozen_layers layers keep their weights bitwise intact;
-    the rest follow Adam on the episode loss. Returns the encoder with
+    The encoder's parameter vector is split at layer cfg.frozen_layers
+    into a frozen prefix and a trainable suffix, both views of it. Each
+    episode runs forward through the prefix, and the suffix follows Adam
+    on the prototypical loss of the mapped episode; the prefix keeps its
+    weights bitwise intact and is never differentiated. With every layer
+    frozen nothing trains and no episode runs. Returns the encoder with
     provenance stage "mcgan" plus the per-episode loss curve. On a
     non-finite loss the loop stops with the last completed state.
     """
@@ -233,30 +242,40 @@ def finetune_mcgan(
             f"encoder stage is {encoder.provenance.stage!r}, expected "
             f"'clustergan' (pass allow_stage_mismatch=True to override)")
 
-    params = encoder.params
+    params, arch = encoder.params, encoder.params.arch
+    episodes = cfg.episodes if cfg.frozen_layers < len(arch) else 0
+    k = min(cfg.frozen_layers, len(arch) - 1)
+    cut = sum(l.weight.size + l.bias.size for l in params.layers[:k])
+    frozen = MlpParams.from_flat(params.flat[:cut], arch[:k]) if k else None
+    tuned = MlpParams.from_flat(params.flat[cut:], arch[k:])
     rng = np.random.default_rng(cfg.seed)
-    opt = adam_init(params, cfg.alpha, cfg.beta1, cfg.beta2)
+    opt = adam_init(tuned, cfg.alpha, cfg.beta1, cfg.beta2)
     curve: List[Dict[str, float]] = []
-    good = params
-    for ep in range(1, cfg.episodes + 1):
+    good = tuned
+    for ep in range(1, episodes + 1):
         episode = sample_episode(data, cfg, rng)
+        if frozen is not None:
+            n_c, n_sup = episode.n_c, episode.n_c * cfg.n_s
+            h, _ = mlp_forward(frozen, _stacked(episode))
+            episode = Episode(speakers=episode.speakers,
+                              support=h[:n_sup].reshape(n_c, cfg.n_s, -1),
+                              query=h[n_sup:].reshape(n_c, cfg.n_q, -1))
         try:
             loss, grads, diag = episode_loss_and_grads(
-                params, episode, cfg.n_s)
+                tuned, episode, cfg.n_s)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite episode loss at episode {ep}")
-            for li in range(min(cfg.frozen_layers, len(grads.weights))):
-                grads.weights[li][:] = 0.0
-                grads.biases[li][:] = 0.0
-            params, opt = adam_step(opt, params, grads)
+            tuned, opt = adam_step(opt, tuned, grads)
         except DivergenceError as exc:
             warnings.warn(f"fine-tuning stopped: {exc}; returning state "
                           f"from episode {ep - 1}")
-            params = good
+            tuned = good
             break
-        good = params
+        good = tuned
         curve.append({"episode": ep, "n_c": diag["n_c"], "loss": loss})
+    params = MlpParams.from_flat(
+        np.concatenate([params.flat[:cut], tuned.flat]), arch)
 
     if log_path is not None:
         with open(log_path, "w", newline="") as fh:

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from deskdiar.autodiff import Layer, MlpGrads, MlpParams
+from deskdiar.autodiff import Layer, MlpParams
 
 
 # ---------------------------------------------------------------- MLP oracle
@@ -52,10 +52,11 @@ def straightline_mlp(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 def fd_param_grads(
     f: Callable[[MlpParams], float], params: MlpParams, h: float = 1e-5
-) -> MlpGrads:
-    """Central finite differences of a scalar objective over every entry."""
-    d_w: List[np.ndarray] = []
-    d_b: List[np.ndarray] = []
+) -> np.ndarray:
+    """Central finite differences of a scalar objective over every entry,
+    concatenated in layer order: layer 0 weight (row-major), layer 0
+    bias, layer 1 weight, and so on."""
+    parts: List[np.ndarray] = []
     for li, layer in enumerate(params.layers):
         gw = np.zeros_like(layer.weight)
         for idx in np.ndindex(layer.weight.shape):
@@ -65,9 +66,8 @@ def fd_param_grads(
         for idx in np.ndindex(layer.bias.shape):
             gb[idx] = (_f_pert(f, params, li, "bias", idx, +h)
                        - _f_pert(f, params, li, "bias", idx, -h)) / (2 * h)
-        d_w.append(gw)
-        d_b.append(gb)
-    return MlpGrads(weights=d_w, biases=d_b)
+        parts += [gw.ravel(), gb]
+    return np.concatenate(parts)
 
 
 def _f_pert(f, params: MlpParams, li: int, which: str, idx, delta: float
@@ -99,17 +99,15 @@ def fd_input_grads(
     return g
 
 
-def assert_grads_close(analytic: MlpGrads, reference: MlpGrads,
+def assert_grads_close(analytic: np.ndarray, reference: np.ndarray,
                        rtol: float = 1e-4, atol: float = 1e-7) -> None:
-    """Entrywise |a - r| <= atol + rtol * |r| over all layers."""
-    for li, (aw, rw) in enumerate(zip(analytic.weights, reference.weights)):
-        ok = np.abs(aw - rw) <= atol + rtol * np.abs(rw)
-        assert ok.all(), f"weight gradient mismatch in layer {li}: " \
-            f"max err {np.abs(aw - rw).max():.3e}"
-    for li, (ab, rb) in enumerate(zip(analytic.biases, reference.biases)):
-        ok = np.abs(ab - rb) <= atol + rtol * np.abs(rb)
-        assert ok.all(), f"bias gradient mismatch in layer {li}: " \
-            f"max err {np.abs(ab - rb).max():.3e}"
+    """Entrywise |a - r| <= atol + rtol * |r| over two flat gradients."""
+    assert analytic.shape == reference.shape, \
+        f"gradient shapes differ: {analytic.shape} != {reference.shape}"
+    err = np.abs(analytic - reference)
+    bad = np.flatnonzero(err > atol + rtol * np.abs(reference))
+    assert bad.size == 0, f"gradient mismatch at flat index {bad[0]}: " \
+        f"max err {err.max():.3e}"
 
 
 # ------------------------------------------------------------- random nets

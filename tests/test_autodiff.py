@@ -8,14 +8,12 @@ from deskdiar.autodiff import (
     AdamState,
     DivergenceError,
     Layer,
-    MlpGrads,
     MlpParams,
     ShapeError,
     StaleTapeError,
     adam_init,
     adam_step,
-    gp_param_gradient,
-    input_gradient,
+    critic_param_gradient,
     mlp_backward,
     mlp_forward,
     mlp_input_backward,
@@ -36,6 +34,48 @@ def linear_net(*mats, biases=None):
         b = np.zeros(w.shape[1]) if biases is None else np.asarray(biases[i])
         layers.append(Layer(weight=w, bias=b, activation="linear"))
     return MlpParams(layers=tuple(layers))
+
+
+def scalar_input_grad(net, x):
+    """Per-row gradient of a scalar-output network w.r.t. its input."""
+    _, tape = mlp_forward(net, x)
+    return mlp_input_backward(tape, np.ones_like(tape.output))
+
+
+def penalty_only(net, x_hat):
+    """The gradient-norm penalty alone: the critic gradient with zero
+    adversarial rows."""
+    x_hat = np.asarray(x_hat, dtype=float)
+    _, value, grads = critic_param_gradient(
+        net, np.empty((0, x_hat.shape[1])), np.empty((0, 1)), x_hat, 1.0)
+    return value, grads
+
+
+# ------------------------------------------------------------ flat layout
+
+def test_layers_are_views_of_one_flat_vector(rng):
+    net = random_params(rng, [5, 4, 3])
+    expect = np.concatenate([a.ravel() for l in net.layers
+                             for a in (l.weight, l.bias)])
+    assert np.array_equal(net.flat, expect)
+    assert net.flat.size == 5 * 4 + 4 + 4 * 3 + 3
+    for layer, (w, b) in zip(net.layers, net.views(net.flat)):
+        assert np.shares_memory(layer.weight, net.flat)
+        assert np.shares_memory(layer.bias, net.flat)
+        assert np.array_equal(layer.weight, w)
+        assert np.array_equal(layer.bias, b)
+    net.layers[1].bias[0] = 7.0
+    assert net.flat[5 * 4 + 4 + 4 * 3] == 7.0
+    # from_flat wraps without copying; the constructor copies
+    wrapped = MlpParams.from_flat(net.flat, net.arch)
+    assert wrapped.flat is net.flat
+    copied = MlpParams(layers=net.layers)
+    assert not np.shares_memory(copied.flat, net.flat)
+    assert np.array_equal(copied.flat, net.flat)
+    with pytest.raises(ShapeError):
+        MlpParams.from_flat(net.flat[:-1], net.arch)
+    with pytest.raises(ShapeError):
+        net.views(np.zeros(net.flat.size + 1))
 
 
 # ---------------------------------------------------------------- forward
@@ -108,7 +148,7 @@ def test_backward_scalar_linear_case():
     x = np.array([[0.5, -1.5, 4.0]])
     _, tape = mlp_forward(net, x)
     grads, dx = mlp_backward(tape, np.ones((1, 1)))
-    assert np.allclose(grads.weights[0], x.T, atol=0)
+    assert np.allclose(net.views(grads)[0][0], x.T, atol=0)
     assert np.allclose(dx, w.T, atol=0)
 
 
@@ -200,7 +240,7 @@ def test_input_gradient_linear_network_is_weight_product(rng):
     net = linear_net(w1, w2)
     product = (w1 @ w2).ravel()
     xs = rng.standard_normal((10, 4))
-    g = input_gradient(net, xs)
+    g = scalar_input_grad(net, xs)
     assert np.abs(g - product).max() <= 1e-12
     # constant in x
     assert np.abs(g - g[0]).max() < 1e-12
@@ -210,7 +250,7 @@ def test_input_gradient_matches_finite_differences(rng):
     net = random_params(rng, [5, 7, 6, 1])
     x = rng.standard_normal((4, 5))
 
-    g = input_gradient(net, x)
+    g = scalar_input_grad(net, x)
     for i in range(x.shape[0]):
         def f(row, i=i):
             xx = x.copy()
@@ -234,14 +274,8 @@ def test_input_gradient_at_shifted_kink_matches_mask_product():
     x = np.array([[1.0 + 1e-3, 2.0 + 1e-3, -5.0 + 1e-3]])
     mask = (x @ w1 + b1 > 0).astype(float).ravel()
     expected = (w1 * mask) @ w2
-    g = input_gradient(net, x)
+    g = scalar_input_grad(net, x)
     assert np.abs(g - expected.ravel()).max() <= 1e-12
-
-
-def test_input_gradient_requires_scalar_output(rng):
-    net = random_params(rng, [4, 3, 2])
-    with pytest.raises(ShapeError):
-        input_gradient(net, rng.standard_normal((2, 4)))
 
 
 # ------------------------------------------------- gradient-penalty gradient
@@ -250,36 +284,37 @@ def test_gp_zero_on_unit_norm_linear_network():
     w1 = np.array([[0.6, 0.0], [0.8, 0.0], [0.0, 1.0]])  # first col unit norm
     w2 = np.array([[1.0], [0.0]])
     net = linear_net(w1, w2)  # product = [0.6, 0.8, 0.0], norm 1
-    value, grads = gp_param_gradient(net, np.zeros((4, 3)))
+    value, grads = penalty_only(net, np.zeros((4, 3)))
     assert value <= 1e-12
-    assert max(np.abs(g).max() for g in grads.weights) <= 1e-9
+    assert max(np.abs(w).max() for w, _ in net.views(grads)) <= 1e-9
 
 
 def test_gp_single_layer_closed_form(rng):
     w = rng.standard_normal((5, 1))
     w *= 1.5 / np.linalg.norm(w)
     net = linear_net(w)
-    value, grads = gp_param_gradient(net, rng.standard_normal((1, 5)))
+    value, grads = penalty_only(net, rng.standard_normal((1, 5)))
     norm = float(np.linalg.norm(w))
     assert abs(value - (norm - 1.0) ** 2) <= 1e-12
     hand = 2.0 * (norm - 1.0) * w / norm
-    assert np.abs(grads.weights[0] - hand).max() <= 1e-12
-    assert np.abs(grads.biases[0]).max() == 0.0
+    (gw, gb), = net.views(grads)
+    assert np.abs(gw - hand).max() <= 1e-12
+    assert np.abs(gb).max() == 0.0
 
 
 def test_gp_matches_finite_differences(rng):
     net = random_params(rng, [6, 8, 5, 1])
     x_hat = rng.standard_normal((4, 6))
-    value, grads = gp_param_gradient(net, x_hat)
-    fd = fd_param_grads(lambda p: gp_param_gradient(p, x_hat)[0], net)
+    value, grads = penalty_only(net, x_hat)
+    fd = fd_param_grads(lambda p: penalty_only(p, x_hat)[0], net)
     assert_grads_close(grads, fd, rtol=1e-4, atol=1e-7)
     assert value >= 0.0
 
 
 def test_gp_bias_gradients_are_zero(rng):
     net = random_params(rng, [4, 6, 1])
-    _, grads = gp_param_gradient(net, rng.standard_normal((5, 4)))
-    assert all(np.abs(b).max() == 0.0 for b in grads.biases)
+    _, grads = penalty_only(net, rng.standard_normal((5, 4)))
+    assert all(np.abs(b).max() == 0.0 for _, b in net.views(grads))
 
 
 def test_gp_zero_gradient_row_stays_finite():
@@ -288,16 +323,16 @@ def test_gp_zero_gradient_row_stays_finite():
     l1 = Layer(weight=np.eye(2), bias=np.full(2, -10.0), activation="relu")
     l2 = Layer(weight=np.ones((2, 1)), bias=np.zeros(1), activation="linear")
     net = MlpParams(layers=(l1, l2))
-    value, grads = gp_param_gradient(net, np.zeros((3, 2)))
+    value, grads = penalty_only(net, np.zeros((3, 2)))
     assert np.isfinite(value)
-    assert all(np.isfinite(g).all() for g in grads.weights)
+    assert all(np.isfinite(w).all() for w, _ in net.views(grads))
     assert abs(value - 1.0) < 1e-5  # (0 - 1)^2 per row, up to the eps guard
 
 
 def test_gp_requires_scalar_output(rng):
     net = random_params(rng, [4, 3, 2])
     with pytest.raises(ShapeError):
-        gp_param_gradient(net, rng.standard_normal((2, 4)))
+        penalty_only(net, rng.standard_normal((2, 4)))
 
 
 # -------------------------------------------------------------------- adam
@@ -305,7 +340,7 @@ def test_gp_requires_scalar_output(rng):
 def test_adam_zero_gradient_is_fixed_point(rng):
     net = random_params(rng, [4, 3])
     state = adam_init(net)
-    zero = MlpGrads.zeros_like(net)
+    zero = np.zeros_like(net.flat)
     updated, state = adam_step(state, net, zero)
     for a, b in zip(updated.layers, net.layers):
         assert np.array_equal(a.weight, b.weight)
@@ -319,13 +354,11 @@ def test_adam_single_step_hand_computation(rng):
     net = random_params(rng, [3, 2])
     alpha, eps = 1e-2, 1e-8
     state = adam_init(net, alpha=alpha, beta1=0.5, beta2=0.9, eps=eps)
-    g = MlpGrads(weights=[rng.standard_normal((3, 2))],
-                 biases=[rng.standard_normal(2)])
+    g = rng.standard_normal(net.flat.size)
     updated, _ = adam_step(state, net, g)
-    expect_w = net.layers[0].weight - alpha * g.weights[0] / (
-        np.abs(g.weights[0]) + eps)
-    expect_b = net.layers[0].bias - alpha * g.biases[0] / (
-        np.abs(g.biases[0]) + eps)
+    (gw, gb), = net.views(g)
+    expect_w = net.layers[0].weight - alpha * gw / (np.abs(gw) + eps)
+    expect_b = net.layers[0].bias - alpha * gb / (np.abs(gb) + eps)
     assert np.abs(updated.layers[0].weight - expect_w).max() <= 1e-12
     assert np.abs(updated.layers[0].bias - expect_b).max() <= 1e-12
 
@@ -338,8 +371,7 @@ def test_adam_converges_on_quadratic(rng):
     dists = []
     for _ in range(200):
         w = net.layers[0].weight
-        g = MlpGrads(weights=[2.0 * (w - target)],
-                     biases=[np.zeros(2)])
+        g = np.concatenate([2.0 * (w - target).ravel(), np.zeros(2)])
         net, state = adam_step(state, net, g)
         dists.append(float(np.linalg.norm(net.layers[0].weight - target)))
     tail = dists[10:]
@@ -347,24 +379,18 @@ def test_adam_converges_on_quadratic(rng):
     assert dists[-1] < 0.5 * dists[10]
 
 
-def _textbook_adam(state, params, grads):
-    """Adam as whole-array expressions, one layer at a time."""
+def _textbook_adam(state, params, grads, flush=True):
+    """Adam as whole-array expressions over the flat vectors; ``flush``
+    zeroes second moments below the smallest normal float."""
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    out = {"w": [], "b": [], "mw": [], "mb": [], "vw": [], "vb": []}
-    for layer, mw, vw, mb, vb, gw, gb in zip(
-            params.layers, state.m.weights, state.v.weights,
-            state.m.biases, state.v.biases, grads.weights, grads.biases):
-        for key, p, m, v, g in (("w", layer.weight, mw, vw, gw),
-                                ("b", layer.bias, mb, vb, gb)):
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            out[key].append(
-                p - state.alpha * (m / c1) / (np.sqrt(v / c2) + state.eps))
-            out["m" + key].append(m)
-            out["v" + key].append(v)
-    return out
+    m = b1 * state.m + (1.0 - b1) * grads
+    v = b2 * state.v + (1.0 - b2) * grads * grads
+    if flush:
+        v = np.where(v < np.finfo(float).tiny, 0.0, v)
+    p = params.flat - state.alpha * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    return {"p": p, "m": m, "v": v}
 
 
 def _bits(arrays):
@@ -380,45 +406,63 @@ def test_adam_matches_textbook_bits_and_leaves_inputs_alone(rng, start_step):
     state = adam_init(net, alpha=3e-3)
     state = AdamState(step=start_step, m=state.m, v=state.v, alpha=3e-3)
     for _ in range(6):
-        grads = MlpGrads(
-            weights=[rng.standard_normal(l.weight.shape) for l in net.layers],
-            biases=[rng.standard_normal(l.bias.shape) for l in net.layers])
-        grads.weights[0][0, :5] = 0.0
-        before = [_bits(l.weight for l in net.layers),
-                  _bits(l.bias for l in net.layers),
-                  _bits(state.m.weights + state.m.biases),
-                  _bits(state.v.weights + state.v.biases),
-                  _bits(grads.weights + grads.biases)]
+        grads = rng.standard_normal(net.flat.size)
+        net.views(grads)[0][0][0, :5] = 0.0
+        before = _bits([net.flat, state.m, state.v, grads])
         ref = _textbook_adam(state, net, grads)
         new_net, new_state = adam_step(state, net, grads)
-        after = [_bits(l.weight for l in net.layers),
-                 _bits(l.bias for l in net.layers),
-                 _bits(state.m.weights + state.m.biases),
-                 _bits(state.v.weights + state.v.biases),
-                 _bits(grads.weights + grads.biases)]
-        for old, now in zip(before, after):
-            assert all(np.array_equal(a, b) for a, b in zip(old, now))
-        got = {"w": [l.weight for l in new_net.layers],
-               "b": [l.bias for l in new_net.layers],
-               "mw": new_state.m.weights, "mb": new_state.m.biases,
-               "vw": new_state.v.weights, "vb": new_state.v.biases}
-        for key, arrays in got.items():
-            assert all(np.array_equal(a.view(np.int64), r.view(np.int64))
-                       for a, r in zip(arrays, ref[key])), key
+        after = _bits([net.flat, state.m, state.v, grads])
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        got = {"p": new_net.flat, "m": new_state.m, "v": new_state.v}
+        for key, array in got.items():
+            assert np.array_equal(array.view(np.int64),
+                                  ref[key].view(np.int64)), key
+        for layer, (w, b) in zip(new_net.layers,
+                                 new_net.views(new_net.flat)):
+            assert np.shares_memory(layer.weight, new_net.flat)
+            assert np.array_equal(layer.weight, w)
+            assert np.array_equal(layer.bias, b)
         assert new_state.step == state.step + 1
         net, state = new_net, new_state
 
 
+@pytest.mark.parametrize("start_step", [0, 400])
+def test_adam_flushes_subnormal_second_moments(rng, start_step):
+    # v just above the smallest normal float decays below it under a zero
+    # gradient: it is flushed to 0, and the parameters keep the bits of
+    # the unflushed update, since sqrt(v / c2) vanishes against eps
+    net = random_params(rng, [40, 30, 2])
+    tiny = np.finfo(float).tiny
+    v = rng.standard_normal(net.flat.size) ** 2
+    v[::3] = tiny * rng.uniform(1.0, 1.1, size=v[::3].size)
+    state = AdamState(step=start_step, m=rng.standard_normal(net.flat.size),
+                      v=v, alpha=3e-3)
+    grads = rng.standard_normal(net.flat.size)
+    grads[::3] = 0.0
+    new_net, new_state = adam_step(state, net, grads)
+    raw = _textbook_adam(state, net, grads, flush=False)
+    assert (raw["v"][::3] < tiny).all() and (raw["v"][::3] > 0.0).all()
+    assert np.array_equal(new_state.v[::3], np.zeros(v[::3].size))
+    flushed = _textbook_adam(state, net, grads)["v"]
+    assert np.array_equal(new_state.v.view(np.int64), flushed.view(np.int64))
+    assert np.array_equal(new_net.flat.view(np.int64),
+                          raw["p"].view(np.int64))
+
+
 def test_adam_rejects_non_finite_gradients(rng):
-    net = random_params(rng, [3, 2])
-    g = MlpGrads.zeros_like(net)
-    g.weights[0][0, 0] = np.nan
+    net = random_params(rng, [3, 4, 2])
+    g = np.zeros_like(net.flat)
+    net.views(g)[0][0][0, 0] = np.nan
     with pytest.raises(DivergenceError, match="layer 0"):
+        adam_step(adam_init(net), net, g)
+    g = np.zeros_like(net.flat)
+    net.views(g)[1][1][-1] = np.inf  # the last entry of the vector
+    with pytest.raises(DivergenceError, match="layer 1"):
         adam_step(adam_init(net), net, g)
 
 
 def test_adam_rejects_shape_mismatch(rng):
     net = random_params(rng, [3, 2])
-    g = MlpGrads(weights=[np.zeros((2, 3))], biases=[np.zeros(2)])
-    with pytest.raises(ShapeError):
-        adam_step(adam_init(net), net, g)
+    for g in (np.zeros(net.flat.size + 1), np.zeros((1, net.flat.size))):
+        with pytest.raises(ShapeError):
+            adam_step(adam_init(net), net, g)

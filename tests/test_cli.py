@@ -353,6 +353,32 @@ class TestScore:
         assert rc == 3
         assert "sess001" in capsys.readouterr().err
 
+    def test_session_without_single_speaker_frame_skips_purity(
+            self, tmp_path, capsys):
+        # session b's one 3 ms turn holds no 10 ms frame midpoint: it still
+        # gets its DER row but is left out of the mean purity
+        rttm = tmp_path / "two.rttm"
+        rttm.write_text(
+            "SPEAKER a 1 0.000 5.000 <NA> <NA> s1 <NA> <NA>\n"
+            "SPEAKER b 1 0.001 0.003 <NA> <NA> s1 <NA> <NA>\n")
+        rc = cli.main(["score", "--reference", str(rttm),
+                       "--hypothesis", str(rttm), "--set", "collar_s=0"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        rows = {line.split(",")[0]: line.split(",")
+                for line in captured.out.splitlines() if "," in line}
+        assert rows["a"][1:] == ["5.000", "0.000", "0.000", "0.000", "0.000"]
+        assert rows["b"][1:] == ["0.003", "0.000", "0.000", "0.000", "0.000"]
+        assert "mean cluster purity: 1.0000" in captured.out
+        assert "session b" in captured.err and "session a" not in captured.err
+        # with every session like b there is no mean purity to report
+        only_b = tmp_path / "b.rttm"
+        only_b.write_text(rttm.read_text().splitlines(keepends=True)[1])
+        assert cli.main(["score", "--reference", str(only_b),
+                         "--hypothesis", str(only_b),
+                         "--set", "collar_s=0"]) == 0
+        assert "mean cluster purity: n/a" in capsys.readouterr().out
+
     def test_reference_scores_zero_against_itself(self, corpus_dir,
                                                   tmp_path):
         out = tmp_path / "self"

@@ -188,6 +188,23 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
     assert (tmp_path / "enc.ck.json").exists()
 
 
+def test_checkpoint_payload_is_the_flat_vector(tmp_path):
+    # the weights are params.flat as little-endian float64, after the header
+    _, d, _ = build_models(6, LatentConfig(d_c=3, d_n=2), seed=4)
+    path = tmp_path / "d.ck"
+    save_checkpoint(d, path)
+    blob = path.read_bytes()
+    payload = d.params.flat.astype("<f8").tobytes()
+    assert blob.endswith(payload)
+    assert len(blob) - len(payload) == 4 + 2 + 1 + 1 + 4 + 4 + 8 + 8 + 1 \
+        + 24 + 4 + 64 + 2 + 13 * len(d.params.layers)
+    back = load_checkpoint(path).params
+    assert np.array_equal(back.flat.view(np.int64),
+                          d.params.flat.view(np.int64))
+    assert all(np.shares_memory(l.weight, back.flat) for l in back.layers)
+    assert back.arch == d.params.arch
+
+
 def test_checkpoint_bad_magic_rejected(tmp_path, rng):
     latent = LatentConfig(d_c=3, d_n=2)
     g, _, _ = build_models(4, latent, seed=2)

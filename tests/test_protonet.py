@@ -9,6 +9,8 @@ from deskdiar.autodiff import (
     Layer,
     MlpParams,
     ShapeError,
+    adam_init,
+    adam_step,
     mlp_backward,
     mlp_forward,
 )
@@ -249,8 +251,7 @@ def two_pass_episode_loss_and_grads(e_params, episode, n_s):
     loss, _, grad_q, grad_p = proto_loss(protos, qry_emb, labels)
     gq, _ = mlp_backward(qry_tape, grad_q)
     gs, _ = mlp_backward(sup_tape, np.repeat(grad_p / n_s, n_s, axis=0))
-    return loss, [a + b for a, b in zip(gq.weights + gq.biases,
-                                        gs.weights + gs.biases)]
+    return loss, gq + gs
 
 
 def test_stacked_episode_pass_matches_two_pass_reference():
@@ -264,8 +265,9 @@ def test_stacked_episode_pass_matches_two_pass_reference():
         loss, grads, _ = episode_loss_and_grads(e, episode, n_s=10)
         ref_loss, ref = two_pass_episode_loss_and_grads(e, episode, 10)
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
-        got = grads.weights + grads.biases
-        final_bias = len(grads.weights) + len(grads.biases) - 1
+        got = [a for pair in e.views(grads) for a in pair]
+        ref = [a for pair in e.views(ref) for a in pair]
+        final_bias = len(got) - 1
         for i, (g, r) in enumerate(zip(got, ref)):
             if i == final_bias:
                 # the loss sees only differences of embeddings, so this
@@ -312,6 +314,49 @@ def test_finetune_freezes_first_two_layers(rng):
                               out.params.layers[2].weight)
     assert not np.array_equal(e.params.layers[-1].weight,
                               out.params.layers[-1].weight)
+
+
+def test_finetune_no_frozen_layers_trains_every_layer(rng):
+    e = tiny_encoder(rng)
+    data = corpus(rng, dim=6, spread=0.8, std=0.6)
+    out, curve = finetune_mcgan(
+        e, data, ProtoConfig(episodes=20, seed=4, frozen_layers=0))
+    assert len(curve) == 20
+    for la, lb in zip(e.params.layers, out.params.layers):
+        assert not np.array_equal(la.weight, lb.weight)
+
+
+@pytest.mark.parametrize("frozen", [4, 9])
+def test_finetune_all_layers_frozen_changes_nothing(rng, frozen):
+    e = tiny_encoder(rng)
+    data = corpus(rng, dim=6, spread=0.8, std=0.6)
+    out, curve = finetune_mcgan(
+        e, data, ProtoConfig(episodes=5, seed=4, frozen_layers=frozen))
+    assert len(e.params.layers) == 4
+    assert out.provenance.stage == "mcgan"
+    assert np.array_equal(out.params.flat.view(np.int64),
+                          e.params.flat.view(np.int64))
+    assert curve == []  # nothing trains, so no episode runs
+
+
+def test_frozen_prefix_matches_zeroed_gradient_reference(rng):
+    # Adam over a gradient zeroed on the first two layers leaves them as
+    # they are, so differentiating only the suffix must give the same bits
+    e = tiny_encoder(rng)
+    data = corpus(rng, dim=6, spread=0.8, std=0.6)
+    cfg = ProtoConfig(episodes=8, seed=3, alpha=1e-3)
+    out, curve = finetune_mcgan(e, data, cfg)
+    params, rng_ref = e.params, np.random.default_rng(cfg.seed)
+    opt = adam_init(params, cfg.alpha, cfg.beta1, cfg.beta2)
+    cut = sum(l.weight.size + l.bias.size for l in params.layers[:2])
+    for row in curve:
+        episode = sample_episode(data, cfg, rng_ref)
+        loss, grads, _ = episode_loss_and_grads(params, episode, cfg.n_s)
+        assert loss == row["loss"]
+        grads[:cut] = 0.0
+        params, opt = adam_step(opt, params, grads)
+    assert np.array_equal(out.params.flat.view(np.int64),
+                          params.flat.view(np.int64))
 
 
 def test_finetune_loss_decreases_on_separable_corpus(rng):
