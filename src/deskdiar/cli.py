@@ -56,7 +56,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-DIAG_FIELDS = ("session", "n_segments", "k_hat", "p_used", "inertia")
+DIAG_FIELDS = ("session", "n_segments", "k_hat", "p_used", "inertia",
+               "p_scanned")
 COUNT_FIELDS = ("session", "true_k", "est_k")
 PURITY_FRAME_S = 0.01
 
@@ -480,7 +481,8 @@ def cmd_diarize(args: argparse.Namespace) -> int:
                 "n_segments": diag["n_segments"],
                 "k_hat": diag["k_hat"],
                 "p_used": "" if diag["p_used"] is None else diag["p_used"],
-                "inertia": f"{float(diag['inertia']):.12g}"})
+                "inertia": f"{float(diag['inertia']):.12g}",
+                "p_scanned": diag["p_scanned"]})
     (out / "config.snapshot").write_text(config_text(cfg))
     print(f"diarized {len(results)} sessions with "
           f"embedding={cfg['embedding']} backend={cfg['backend']}; "

@@ -7,19 +7,25 @@ g_p is the largest eigengap inside the candidate window normalized by the
 largest eigenvalue. The smallest r wins; the winning eigengap index is the
 cluster-count estimate.
 
-The scan is exhaustive but does no work twice: each affinity row is sorted
-once, the binarized graph grows by the next neighbour columns from one p to
-the next, and only eigenvalues are computed per p. Eigenvectors are taken
-once, by `spectral_partition`, at the selected p.
+The scan does no work twice: each affinity row is sorted once, the
+binarized graph grows by the next neighbour columns from one p to the next,
+and only eigenvalues are computed per p, one block per connected component
+while the graph has several. `nme_select` visits every candidate p;
+`nme_select_bounded`, which diarization uses, stops at the first p that
+provably cannot win (r(p) >= p) and makes the same pick. Eigenvectors are
+taken once, by `spectral_partition`, at the selected p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .autodiff import ShapeError
 
@@ -34,6 +40,8 @@ DEFAULT_K_MAX = 10
 # a normalized eigengap at or below this is rounding noise, not a gap: the
 # graph has more components than the eigengap window holds
 GAP_FLOOR = 1e-9
+# relative margin on the bounded scan's stop r(p) >= p, for rounding in g_p
+BOUND_SLACK = 1e-9
 
 
 class DegenerateAffinityError(ValueError):
@@ -154,22 +162,78 @@ def default_p_range(n: int) -> range:
     return range(1, min(ceil(n / 4), n - 1) + 1)
 
 
-def nme_select(
-    a: np.ndarray,
-    p_range: Optional[Sequence[int]] = None,
-    k_max: int = DEFAULT_K_MAX,
-) -> NmeResult:
-    """Scan candidate p values and pick (p_hat, k_hat) by the normalized
-    maximum eigengap ratio r(p) = p / g_p; ties go to the smaller p and the
-    smaller eigengap index.
+class _NmeStep(NamedTuple):
+    """One p of the NME scan."""
 
-    Every p in `p_range` is scanned and traced. Each row's neighbour order
-    is sorted once; the graph for p adds the columns order[:, filled:p] to
-    the one for the previous p, which gives, bit for bit, the Laplacian of
-    `binarize_symmetrize(a, p)`. Only its eigenvalues are computed
-    (`np.linalg.eigvalsh`), so `eigenvalues` and the trace may differ from
-    an `eig_sym` spectrum in the last bits.
+    p: int
+    g_p: float
+    r: float
+    k_at_p: int
+    eigenvalues: np.ndarray   # ascending Laplacian spectrum
+    eigengap: np.ndarray      # the window gaps
+
+
+def _laplacian_eigvalsh(adj: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Laplacian of the symmetrized graph adj."""
+    abar = (adj + adj.T) / 2.0
+    try:
+        return np.linalg.eigvalsh(np.diag(abar.sum(axis=1)) - abar)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(str(exc)) from None
+
+
+def _components(order: np.ndarray, p: int) -> List[np.ndarray]:
+    """Ascending node indices of each weakly connected component of the
+    graph whose out-edges are order[:, :p]."""
+    n = order.shape[0]
+    out_edges = csr_matrix(
+        (np.ones(n * p), order[:, :p].ravel(), np.arange(0, n * p + 1, p)),
+        shape=(n, n))
+    _, labels = connected_components(out_edges, directed=True,
+                                     connection="weak")
+    members = np.argsort(labels, kind="stable")
+    return np.split(members, np.cumsum(np.bincount(labels))[:-1])
+
+
+def _nme_steps(a: np.ndarray, p_list: Sequence[int], window: int
+               ) -> Iterator[_NmeStep]:
+    """Score each p of the ascending, duplicate-free p_list, lazily: the
+    spectrum for a p is solved only when the consumer asks for it.
+
+    Each row's neighbour order is sorted once, and the graph for p adds the
+    columns order[:, filled:p] to the one for the previous p, so it is the
+    graph of `binarize_symmetrize(a, p)`. While that graph has several
+    components its Laplacian is block diagonal (up to a permutation), and
+    the spectrum is the union of the blocks' spectra; each block is built
+    from its own rows and columns of the graph (its degrees are exact sums
+    of halves, so the block equals the matching block of the whole
+    Laplacian bit for bit). The graph only gains edges as p grows, so once
+    it is connected it stays connected and the components are no longer
+    looked for.
     """
+    n = a.shape[0]
+    order = _neighbour_order(a)
+    rows = np.arange(n)[:, None]
+    adj = np.eye(n)
+    filled = 0
+    connected = False
+    for p in p_list:
+        adj[rows, order[:, filled:p]] = 1.0
+        filled = p
+        if not connected:
+            members = _components(order, p)
+            connected = len(members) == 1
+        graphs = [adj] if connected else [adj[np.ix_(m, m)] for m in members]
+        lam = np.sort(np.concatenate([_laplacian_eigvalsh(g)
+                                      for g in graphs]))
+        gaps = lam[1: window + 1] - lam[:window]
+        g_p = float(gaps.max() / max(lam[-1], EPS))
+        r = float(p / g_p) if g_p > GAP_FLOOR else np.inf
+        yield _NmeStep(p, g_p, r, int(np.argmax(gaps)) + 1, lam, gaps)
+
+
+def _nme_scan(a: np.ndarray, p_range: Optional[Sequence[int]], k_max: int,
+              stop_at_bound: bool) -> NmeResult:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ShapeError("affinity must be square")
@@ -180,35 +244,66 @@ def nme_select(
         raise ValueError(f"p_range must be a nonempty subset of [1, {n - 1}]")
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must lie in [1, {n}]")
-    window = min(k_max, n - 1)
 
-    order = _neighbour_order(a)
-    rows = np.arange(n)[:, None]
-    adj = np.eye(n)
-    filled = 0
-    best = None  # (r, p, gaps, eigenvalues)
+    best: Optional[_NmeStep] = None
     trace: List[Dict[str, float]] = []
-    for p in p_list:
-        adj[rows, order[:, filled:p]] = 1.0
-        filled = p
-        abar = (adj + adj.T) / 2.0
-        try:
-            lam = np.linalg.eigvalsh(np.diag(abar.sum(axis=1)) - abar)
-        except np.linalg.LinAlgError as exc:
-            raise EigenConvergenceError(str(exc)) from None
-        gaps = lam[1: window + 1] - lam[:window]
-        g_p = float(gaps.max() / max(lam[-1], EPS))
-        k_at_p = int(np.argmax(gaps)) + 1
-        r = float(p / g_p) if g_p > GAP_FLOOR else np.inf
-        trace.append({"p": p, "g_p": g_p, "r": r, "k_at_p": k_at_p})
-        if best is None or r < best[0]:
-            best = (r, p, gaps, lam)
-    if not np.isfinite(best[0]):
+    for i, step in enumerate(_nme_steps(a, p_list, min(k_max, n - 1))):
+        trace.append({"p": step.p, "g_p": step.g_p, "r": step.r,
+                      "k_at_p": step.k_at_p})
+        # strictly smaller r wins, so ties go to the smaller p
+        if best is None or step.r < best.r:
+            best = step
+        if (stop_at_bound and i + 1 < len(p_list)
+                and p_list[i + 1] > best.r * (1.0 + BOUND_SLACK)):
+            break
+    if not np.isfinite(best.r):
         raise DegenerateAffinityError(
             f"every candidate p has normalized eigengap <= {GAP_FLOOR}")
-    _, p_hat, gaps, lam = best
-    return NmeResult(p_hat=p_hat, k_hat=int(np.argmax(gaps)) + 1,
-                     eigenvalues=lam, eigengap=gaps, trace=tuple(trace))
+    return NmeResult(p_hat=best.p, k_hat=best.k_at_p,
+                     eigenvalues=best.eigenvalues, eigengap=best.eigengap,
+                     trace=tuple(trace))
+
+
+def nme_select(
+    a: np.ndarray,
+    p_range: Optional[Sequence[int]] = None,
+    k_max: int = DEFAULT_K_MAX,
+) -> NmeResult:
+    """Scan candidate p values and pick (p_hat, k_hat) by the normalized
+    maximum eigengap ratio r(p) = p / g_p; ties go to the smaller p and the
+    smaller eigengap index.
+
+    Every p in `p_range` is scanned and traced. Only eigenvalues are
+    computed (`np.linalg.eigvalsh`, per connected component while the graph
+    has several), so `eigenvalues` and the trace may differ from an
+    `eig_sym` spectrum of `binarize_symmetrize(a, p)` in the last bits.
+    `nme_select_bounded` makes the same pick from a prefix of the scan.
+    """
+    return _nme_scan(a, p_range, k_max, stop_at_bound=False)
+
+
+def nme_select_bounded(
+    a: np.ndarray,
+    p_range: Optional[Sequence[int]] = None,
+    k_max: int = DEFAULT_K_MAX,
+) -> NmeResult:
+    """`nme_select`'s pick, from the ascending scan stopped once no later p
+    can win; `trace` holds the p values scanned.
+
+    The stop is exact. A Laplacian's eigenvalues lie in [0, lambda_max],
+    so every window gap is at most lambda_max - lambda_1 = lambda_max, and
+    g_p <= 1 (the divisor max(lambda_max, EPS) is never below
+    lambda_max), that is r(p) >= p. A later p wins only with an r strictly
+    below the best r so far, so once the next p exceeds that r, no p from
+    there on can win. Rounding: the subtractions and divisions round
+    monotonically, so a computed gap is at most the computed
+    lambda_max - lambda_1; LAPACK's backward error puts the computed
+    lambda_1 within about n * eps * lambda_max of 0, so a computed g_p can
+    exceed 1, and a computed r fall below p, by about n * eps relative.
+    The stop therefore waits until the next p exceeds the best r by the
+    factor 1 + BOUND_SLACK, which covers n into the millions.
+    """
+    return _nme_scan(a, p_range, k_max, stop_at_bound=True)
 
 
 # --------------------------------------------------------------------------
@@ -333,14 +428,15 @@ def spectral_cluster(
     """Spectral clustering of embedding rows.
 
     With `k` given, runs fixed-p binarized spectral clustering at the
-    caller's p (default: the top of the default p range). Otherwise the NME
-    scan estimates both p and k. Returns the assignment plus the NME result
-    in estimate mode (None in known-k mode).
+    caller's p (default: the top of the default p range). Otherwise the
+    bounded NME scan (`nme_select_bounded`) estimates both p and k. Returns
+    the assignment plus the NME result in estimate mode (None in known-k
+    mode).
     """
     a = cosine_affinity(x)
     nme = None
     if k is None:
-        nme = nme_select(a, p_range, k_max)
+        nme = nme_select_bounded(a, p_range, k_max)
         p, k = nme.p_hat, nme.k_hat
     elif p is None:
         p = default_p_range(a.shape[0])[-1]

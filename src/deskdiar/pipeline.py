@@ -25,7 +25,10 @@ from .clustering import (
     cosine_affinity,
     default_p_range,
     kmeans,
-    nme_select,
+    # the exhaustive scan stays reachable as pipeline.nme_select, where
+    # perfbench/test_tracing.py looks for it
+    nme_select,  # noqa: F401
+    nme_select_bounded,
     spectral_partition,
 )
 from .models import EncodeMode, MlpCheckpoint, encode
@@ -340,7 +343,13 @@ def run_diarization(
 
     x_raw holds one raw embedding row per uniform segment of the SAD.
     Returns the hypothesis timeline, the cluster count used, and a
-    diagnostics dict carrying the NME trace and k-means inertia.
+    diagnostics dict carrying the NME result and k-means inertia.
+
+    The nme-sc back-end picks p with `nme_select_bounded`: the same
+    (p_hat, k_hat) as the exhaustive `nme_select`, from the ascending scan
+    stopped once no later p can win. The NME result's trace holds the p
+    values scanned, and `p_scanned` counts them (0 when nothing was
+    scanned).
     """
     try:
         segments = uniform_segments(sad, cfg.win, cfg.hop)
@@ -368,7 +377,7 @@ def run_diarization(
         else:
             a = cosine_affinity(x)
             if cfg.backend == "nme-sc":
-                nme = nme_select(a, k_max=k_max)
+                nme = nme_select_bounded(a, k_max=k_max)
                 p_used = nme.p_hat
             else:
                 p_used = cfg.p if cfg.p is not None else default_p_range(n)[-1]
@@ -382,6 +391,7 @@ def run_diarization(
             "n_segments": len(segments),
             "k_hat": k_used,
             "p_used": p_used,
+            "p_scanned": 0 if nme is None else len(nme.trace),
             "inertia": inertia,
             "nme": nme,
         }

@@ -221,12 +221,14 @@ class TestDiarize:
                        "--encoder", str(tuned_dir / "encoder_mcgan.dkck")])
         assert rc == 0
         lines = (out / "diagnostics.csv").read_text().splitlines()
-        assert lines[0] == "session,n_segments,k_hat,p_used,inertia"
+        assert lines[0] == \
+            "session,n_segments,k_hat,p_used,inertia,p_scanned"
         for line in lines[1:]:
-            session, nseg, k_hat, p_used, _ = line.split(",")
+            session, nseg, k_hat, p_used, _, p_scanned = line.split(",")
             assert int(nseg) > 0
             assert int(k_hat) >= 1
             assert int(p_used) >= 1
+            assert int(p_scanned) >= int(p_used)
         assert len(lines) == 4
 
     def test_jobs_do_not_change_bytes(self, corpus_dir, tuned_dir, hyp_dir,

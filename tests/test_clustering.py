@@ -16,6 +16,8 @@ from deskdiar.clustering import (
     DegenerateAffinityError,
     EigenConvergenceError,
     _lloyd,
+    _nme_steps,
+    _NmeStep,
     binarize_symmetrize,
     cosine_affinity,
     default_p_range,
@@ -23,6 +25,7 @@ from deskdiar.clustering import (
     kmeans,
     laplacian,
     nme_select,
+    nme_select_bounded,
     spectral_cluster,
 )
 from oracles import jacobi_eigh
@@ -415,6 +418,129 @@ class TestNmeSelect:
         a = cosine_affinity(rng.standard_normal((8, 3)))
         with pytest.raises(ShapeError, match="square"):
             nme_select(a[:, :6], k_max=5)
+
+
+def planted_affinity(k, std, seed, n=120, dim=16, min_deg=25.0):
+    """Cosine affinity of noisy rows around k unit means at least min_deg
+    apart, rows dealt round-robin to the speakers."""
+    rng = np.random.default_rng([k, int(std * 1000), seed])
+    while True:
+        means = rng.standard_normal((k, dim))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        gram = means @ means.T
+        np.fill_diagonal(gram, -1.0)
+        if gram.max() <= np.cos(np.radians(min_deg)):
+            break
+    x = means[np.arange(n) % k] + std * rng.standard_normal((n, dim))
+    return cosine_affinity(x)
+
+
+def assert_same_pick(bounded, full):
+    assert (bounded.p_hat, bounded.k_hat) == (full.p_hat, full.k_hat)
+    assert np.array_equal(bounded.eigenvalues, full.eigenvalues)
+    assert np.array_equal(bounded.eigengap, full.eigengap)
+    assert bounded.trace == full.trace[:len(bounded.trace)]
+
+
+class TestBoundedScan:
+    def test_same_pick_as_exhaustive_scan_on_planted_sessions(self):
+        stopped = collapsed = 0
+        for k in range(2, 9):
+            for std in (0.08, 0.2, 0.35):
+                for seed in range(2):
+                    a = planted_affinity(k, std, seed)
+                    full = nme_select(a)
+                    bounded = nme_select_bounded(a)
+                    assert_same_pick(bounded, full)
+                    stopped += len(bounded.trace) < len(full.trace)
+                    collapsed += k > 1 and full.k_hat == 1
+        # the sweep exercises both the stop and the k_hat = 1 collapse
+        assert stopped >= 10
+        assert collapsed >= 1
+
+    def test_tied_r_goes_to_smaller_p_and_stop_is_exact(self, monkeypatch):
+        # r by p: 4, 20, 4, 4, 5, 6. p = 3 and p = 4 tie with p = 1 and
+        # lose to it; p = 4 <= r_best is still solved, p = 5 is not.
+        g_by_p = {1: 0.25, 2: 0.1, 3: 0.75, 4: 1.0, 5: 1.0, 6: 1.0}
+        solved = []
+
+        def steps(a, p_list, window):
+            for p in p_list:
+                solved.append(p)
+                g = g_by_p[p]
+                gaps = np.array([g, 0.0, 0.0])
+                lam = np.concatenate([[0.0], np.full(a.shape[0] - 2, g),
+                                      [1.0]])
+                yield _NmeStep(p, g, p / g, 1, lam, gaps)
+
+        monkeypatch.setattr("deskdiar.clustering._nme_steps", steps)
+        a = np.eye(24)
+        full = nme_select(a, k_max=3)
+        assert solved == [1, 2, 3, 4, 5, 6]
+        solved.clear()
+        bounded = nme_select_bounded(a, k_max=3)
+        assert solved == [1, 2, 3, 4]
+        assert full.p_hat == bounded.p_hat == 1
+        assert_same_pick(bounded, full)
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 11])
+    def test_tiny_session_window_reaches_lambda_max(self, rng, n):
+        # k_max = n: the window holds all n - 1 gaps, up to lambda_max
+        for _ in range(5):
+            a = cosine_affinity(rng.standard_normal((n, 4)))
+            full = nme_select(a, k_max=n)
+            bounded = nme_select_bounded(a, k_max=n)
+            assert full.eigengap.shape == (n - 1,)
+            assert_same_pick(bounded, full)
+
+    def test_spectral_cluster_pick_matches_exhaustive_scan(self):
+        x = np.eye(8)[:3][np.arange(36) % 3]
+        _, nme = spectral_cluster(x)
+        assert_same_pick(nme, nme_select(cosine_affinity(x)))
+
+
+class TestComponentSpectra:
+    """The scan's per-component spectra against a dense eigvalsh of the
+    whole Laplacian of `binarize_symmetrize(a, p)`."""
+
+    @staticmethod
+    def assert_matches_dense(a, p_range, window=DEFAULT_K_MAX):
+        p_list = sorted(set(p_range))
+        steps = list(_nme_steps(a, p_list, min(window, a.shape[0] - 1)))
+        assert [s.p for s in steps] == p_list
+        n_comps = []
+        for step in steps:
+            abar = binarize_symmetrize(a, step.p)
+            n_comps.append(connected_components(abar)[0])
+            dense = np.linalg.eigvalsh(laplacian(abar))
+            assert step.eigenvalues.shape == dense.shape
+            assert (np.diff(step.eigenvalues) >= 0).all()
+            np.testing.assert_allclose(step.eigenvalues, dense, rtol=0,
+                                       atol=1e-12 * dense[-1])
+        return n_comps
+
+    def test_one_component(self, rng):
+        a = cosine_affinity(rng.standard_normal((40, 6)))
+        p = default_p_range(40)[-1]
+        assert self.assert_matches_dense(a, [p]) == [1]
+
+    def test_exactly_k_components(self):
+        for k in (2, 4, 7):
+            a = planted_affinity(k, 0.08, 0, n=14 * k)
+            assert self.assert_matches_dense(a, [2, 5, 9]) == [k] * 3
+
+    def test_more_components_than_the_window(self):
+        a = np.kron(np.eye(6), np.ones((2, 2)))
+        assert self.assert_matches_dense(a, [1], window=5) == [6]
+        a = planted_affinity(3, 0.3, 1, n=60)
+        n_comps = self.assert_matches_dense(a, [1, 2])
+        assert n_comps[0] > DEFAULT_K_MAX
+
+    def test_explicit_p_range_with_gaps_and_repeats(self, rng):
+        a = planted_affinity(5, 0.2, 3, n=80)
+        n_comps = self.assert_matches_dense(
+            a, [9, 2, 17, 2, 5, 19, 9, 1])
+        assert max(n_comps) > 1 and n_comps[-1] == 1
 
 
 # ---------------------------------------------------------------------------

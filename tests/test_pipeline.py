@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deskdiar.autodiff import ShapeError
-from deskdiar.clustering import kmeans, spectral_cluster
+from deskdiar.clustering import (
+    DegenerateAffinityError,
+    kmeans,
+    nme_select,
+    spectral_cluster,
+)
 from deskdiar.models import LatentConfig, Provenance, build_models
 from deskdiar.pipeline import (
     DiarizeConfig,
@@ -296,6 +301,24 @@ def planted_session(rng, dim=16, std=0.05):
     return s, segs, x, labels
 
 
+def planted_speakers(k, std, seed, dim=16):
+    """SAD + raw embeddings for a k-speaker session of 240 segments, the
+    speakers taking turns of 8 segments, means at least 25 degrees
+    apart."""
+    rng = np.random.default_rng([k, int(std * 1000), seed])
+    s = sad((0.0, 120.5))
+    n = len(uniform_segments(s))
+    while True:
+        means = rng.standard_normal((k, dim))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        gram = means @ means.T
+        np.fill_diagonal(gram, -1.0)
+        if gram.max() <= np.cos(np.radians(25.0)):
+            break
+    x = means[(np.arange(n) // 8) % k] + std * rng.standard_normal((n, dim))
+    return s, x
+
+
 class TestRunDiarization:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="embedding source"):
@@ -411,6 +434,58 @@ class TestRunDiarization:
         onset, duration, _ = tl.turns[-1]
         assert tl.turns[0][0] == 0.0 and abs(onset + duration - 4.0) < 1e-6
         assert abs(tl.total_speech - s.total_speech) < 1e-6
+
+    def test_bounded_scan_picks_as_the_exhaustive_scan(self):
+        stopped = collapsed = 0
+        for k in range(2, 9):
+            for std in (0.08, 0.35):
+                s, x = planted_speakers(k, std, seed=0)
+                _, k_hat, diag = run_diarization(s, x, DiarizeConfig())
+                nme, full = diag["nme"], nme_select(cosine_affinity(x))
+                assert (nme.p_hat, nme.k_hat) == (full.p_hat, full.k_hat)
+                assert np.array_equal(nme.eigenvalues, full.eigenvalues)
+                assert np.array_equal(nme.eigengap, full.eigengap)
+                assert nme.trace == full.trace[:len(nme.trace)]
+                assert diag["p_scanned"] == len(nme.trace)
+                assert k_hat == full.k_hat and diag["p_used"] == full.p_hat
+                stopped += diag["p_scanned"] < len(full.trace)
+                collapsed += full.k_hat == 1
+        assert stopped >= 3
+        assert collapsed >= 1
+
+    def test_p_scanned_is_zero_without_a_scan(self, rng):
+        s, _, x, _ = planted_session(rng)
+        for cfg in (DiarizeConfig(backend="kmeans", known_k=2),
+                    DiarizeConfig(backend="sc-fixed-p", known_k=2)):
+            assert run_diarization(s, x, cfg)[2]["p_scanned"] == 0
+        one = run_diarization(sad((0.0, 1.0)), np.ones((1, 4)),
+                              DiarizeConfig())
+        assert one[2]["p_scanned"] == 0
+
+    def test_tiny_session_bounded_pick(self, rng):
+        # 3.5 s of speech gives 6 segments: k_max is cut to n, and the
+        # eigengap window reaches lambda_max
+        s = sad((0.0, 3.5))
+        n = len(uniform_segments(s))
+        assert n - 1 <= DiarizeConfig().k_max
+        for _ in range(5):
+            x = rng.standard_normal((n, 8))
+            _, _, diag = run_diarization(s, x, DiarizeConfig())
+            full = nme_select(cosine_affinity(x), k_max=n)
+            assert (diag["nme"].p_hat, diag["nme"].k_hat) == \
+                (full.p_hat, full.k_hat)
+            assert diag["nme"].eigengap.shape == (n - 1,)
+
+    def test_every_p_degenerate_raises(self):
+        # three orthogonal speakers of 8 segments each and k_max = 2: up to
+        # p = ceil(24 / 4) = 6 < 8 the graph keeps 3 components, more than
+        # the window holds, so no p has a gap
+        s = sad((0.0, 12.5))
+        n = len(uniform_segments(s))
+        assert n == 24
+        x = np.eye(4)[:3][np.arange(n) % 3]
+        with pytest.raises(DegenerateAffinityError, match="session sess01"):
+            run_diarization(s, x, DiarizeConfig(k_max=2))
 
     def test_fused_self_consistency_both_backends(self, rng):
         # fusing a stream with itself must not change either back-end's
