@@ -1,20 +1,29 @@
 """Dense MLP numerics: forward/backward passes, the critic's fused
 adversarial and gradient-norm-penalty gradient, and Adam.
 
-All math is 64-bit and functional: no operation mutates its arguments.
-Matrices are numpy float64 arrays with row-major batch semantics (one
-sample per row).  A network's parameters are one contiguous vector,
-``MlpParams.flat``, and every parameter gradient is one vector of the
-same layout, so Adam runs once per network. Backward passes are exact
-reverse-mode derivatives of the recorded forward pass; the penalty
-gradient treats ReLU masks as constants, which is exact almost
+All math is 64-bit. Matrices are numpy float64 arrays with row-major
+batch semantics (one sample per row).  A network's parameters are one
+contiguous vector, ``MlpParams.flat``, and every parameter gradient is
+one vector of the same layout, so Adam runs once per network. Backward
+passes are exact reverse-mode derivatives of the recorded forward pass;
+the penalty gradient treats ReLU masks as constants, which is exact almost
 everywhere because the second derivative of ReLU vanishes off the kink.
+
+Only ``adam_step`` writes its arguments: it updates the parameter vector
+and both moments in place, after it has checked the whole gradient, so a
+raise leaves them bit-identical. A caller that needs an older state as a
+rollback point keeps its own copy. Every other operation returns fresh
+arrays, except inside ``step_buffers()``: there each forward activation,
+ReLU mask, reverse-sweep delta, flat gradient and Adam scratch block is
+allocated once per network and shape and rewritten by the next call.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +48,44 @@ class StaleTapeError(RuntimeError):
 
 class DivergenceError(ArithmeticError):
     """A gradient or loss stopped being finite."""
+
+
+_ARENA: ContextVar[Optional[Dict[tuple, np.ndarray]]] = ContextVar(
+    "step_buffers", default=None)
+
+
+@contextmanager
+def step_buffers() -> Iterator[None]:
+    """Reuse one set of buffers for every training step run in the block.
+
+    Inside, ``step_buffer`` hands out the same array for the same key,
+    shape and dtype, so a loop's steps allocate their large arrays once
+    and fault in no fresh pages; the buffers are freed when the block
+    exits. An array drawn from them, such as a forward output, a tape's
+    records or a flat gradient, stays valid until the next call that
+    draws the same key, that is the next pass of the same network on a
+    batch of the same shape.
+    """
+    token = _ARENA.set({})
+    try:
+        yield
+    finally:
+        _ARENA.reset(token)
+
+
+def step_buffer(key: tuple, shape: Tuple[int, ...],
+                dtype=np.float64) -> np.ndarray:
+    """An uninitialized array: fresh outside ``step_buffers()``, and
+    inside it the same array for every call with this key, shape and
+    dtype."""
+    arena = _ARENA.get()
+    if arena is None:
+        return np.empty(shape, dtype)
+    slot = (key, shape, np.dtype(dtype).char)
+    buf = arena.get(slot)
+    if buf is None:
+        buf = arena[slot] = np.empty(shape, dtype)
+    return buf
 
 
 def _as_batch(x: np.ndarray) -> np.ndarray:
@@ -198,9 +245,12 @@ class Tape:
                 "parameters were mutated in place after the forward pass")
 
 
-def _relu_mask(a: np.ndarray) -> np.ndarray:
-    """int64 bit mask of a > 0: all ones where active, zero elsewhere."""
-    return np.negative(a > 0.0, dtype=np.int64)
+def _relu_mask(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """int64 bit mask of a > 0, written to ``out``: all ones where
+    active, zero elsewhere."""
+    active = np.greater(a, 0.0, out=step_buffer(("active",), a.shape,
+                                                np.bool_))
+    return np.negative(active, dtype=np.int64, out=out)
 
 
 def _masked(x: np.ndarray, mask: np.ndarray,
@@ -229,12 +279,16 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> Tuple[np.ndarray, Tape]:
     inputs: List[np.ndarray] = []
     masks: List[Optional[np.ndarray]] = []
     tail_probs: Optional[np.ndarray] = None
-    for layer in params.layers:
+    net = id(params.flat)
+    for idx, layer in enumerate(params.layers):
         inputs.append(h)
-        a = h @ layer.weight
+        shape = (h.shape[0], layer.out_dim)
+        a = np.matmul(h, layer.weight,
+                      out=step_buffer((net, "forward", idx), shape))
         a += layer.bias
         if layer.activation == RELU:
-            mask = _relu_mask(a)
+            mask = _relu_mask(a, step_buffer((net, "mask", idx), shape,
+                                             np.int64))
             masks.append(mask)
             h = _masked(a, mask, out=a)
         elif layer.activation == LINEAR:
@@ -270,7 +324,19 @@ def mlp_backward(
         gradient w.r.t. the input batch).
     """
     return _reverse(tape, upstream, tail_upstream_is_logit_grad,
-                    param_grads=True)
+                    param_grads=True, input_grad=True)
+
+
+def mlp_param_backward(tape: Tape, upstream: np.ndarray,
+                       tail_upstream_is_logit_grad: bool = False
+                       ) -> np.ndarray:
+    """The parameter gradient of mlp_backward alone, bit for bit.
+
+    Skips the input gradient, for callers that update a network but pass
+    no gradient on to whatever fed it.
+    """
+    return _reverse(tape, upstream, tail_upstream_is_logit_grad,
+                    param_grads=True, input_grad=False)[0]
 
 
 def mlp_input_backward(tape: Tape, upstream: np.ndarray) -> np.ndarray:
@@ -279,26 +345,34 @@ def mlp_input_backward(tape: Tape, upstream: np.ndarray) -> np.ndarray:
     Skips the parameter gradients, for callers that only pass a gradient
     through a network they do not update.
     """
-    return _reverse(tape, upstream, False, param_grads=False)[1]
+    return _reverse(tape, upstream, False, param_grads=False,
+                    input_grad=True)[1]
 
 
 def _reverse(tape: Tape, upstream: np.ndarray,
-             tail_upstream_is_logit_grad: bool, param_grads: bool):
-    """Shared sweep of mlp_backward: (flat parameter gradient, input
-    gradient); the parameter gradient is None unless ``param_grads``."""
+             tail_upstream_is_logit_grad: bool, param_grads: bool,
+             input_grad: bool):
+    """Shared sweep of the three backward passes: (flat parameter
+    gradient, input gradient), each None unless asked for."""
     tape.check_fresh()
     u = _as_batch(upstream)
     if u.shape != tape.output.shape:
         raise ShapeError(
             f"upstream shape {u.shape} != output shape {tape.output.shape}")
     params = tape.params
-    grads = np.empty_like(params.flat) if param_grads else None
+    net = id(params.flat)
+    grads = (step_buffer((net, "grad"), params.flat.shape)
+             if param_grads else None)
     views = params.views(grads) if param_grads else None
     g = u
     for idx in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[idx]
         if layer.activation == RELU:
-            ga = _masked(g, tape.masks[idx])
+            # the caller's upstream is read only; a delta of our own is
+            # masked where it lies
+            ga = _masked(g, tape.masks[idx], out=(
+                step_buffer((net, "delta", idx + 1), g.shape) if g is u
+                else g))
         elif layer.activation == LINEAR:
             ga = g
         else:
@@ -315,8 +389,10 @@ def _reverse(tape: Tape, upstream: np.ndarray,
             gw, gb = views[idx]
             np.matmul(tape.inputs[idx].T, ga, out=gw)
             ga.sum(axis=0, out=gb)
-        g = ga @ layer.weight.T
-    return grads, g
+        if idx or input_grad:
+            g = np.matmul(ga, layer.weight.T, out=step_buffer(
+                (net, "delta", idx), (ga.shape[0], layer.in_dim)))
+    return grads, (g if input_grad else None)
 
 
 def critic_param_gradient(
@@ -358,7 +434,10 @@ def critic_param_gradient(
         raise ShapeError(f"upstream shape {u.shape} != ({k}, 1)")
     if n == 0:
         raise ShapeError("the penalty needs at least one interpolate row")
-    out, tape = mlp_forward(params, np.concatenate([x, x_hat]))
+    net = id(params.flat)
+    rows = np.concatenate([x, x_hat], out=step_buffer(
+        (net, "critic-rows"), (k + n, params.in_dim)))
+    out, tape = mlp_forward(params, rows)
     layers = params.layers
     n_layers = len(layers)
 
@@ -368,7 +447,8 @@ def critic_param_gradient(
     d = np.concatenate([u, np.ones((n, 1))])
     for idx in range(n_layers - 1, -1, -1):
         if idx < n_layers - 1:
-            d = d @ layers[idx + 1].weight.T
+            d = np.matmul(d, layers[idx + 1].weight.T, out=step_buffer(
+                (net, "critic-delta", idx), (k + n, layers[idx].out_dim)))
         if tape.masks[idx] is not None:
             _masked(d, tape.masks[idx], out=d)
         deltas[idx] = d
@@ -390,7 +470,7 @@ def critic_param_gradient(
                       out=inputs[idx + 1][k:])
         if tape.masks[idx] is not None:
             _masked(t, tape.masks[idx][k:], out=t)
-    grads = np.empty_like(params.flat)
+    grads = step_buffer((net, "grad"), params.flat.shape)
     for (gw, gb), inp, dl in zip(params.views(grads), inputs, deltas):
         np.matmul(inp.T, dl, out=gw)
         dl[:k].sum(axis=0, out=gb)
@@ -402,7 +482,8 @@ class AdamState:
     """Bias-corrected Adam accumulators for one network.
 
     ``m`` and ``v`` are flat vectors laid out like the network's
-    ``MlpParams.flat``, so one pass updates the whole network.
+    ``MlpParams.flat``, so one pass updates the whole network;
+    ``adam_step`` overwrites them and advances ``step``.
     """
 
     step: int
@@ -434,41 +515,52 @@ ADAM_BLOCK = 16384
 V_FLOOR = np.finfo(np.float64).tiny
 
 
-def _adam_array(state: "AdamState", c1: float, c2: float, p: np.ndarray,
-                m: np.ndarray, v: np.ndarray, g: np.ndarray,
-                params: MlpParams):
-    """Textbook Adam on one flat network, block by block, into fresh
-    outputs.
+def check_gradient(params: MlpParams, grads: np.ndarray) -> None:
+    """Raise DivergenceError, naming the layer of ``params`` that holds
+    the first non-finite entry of ``grads``, if there is one.
+
+    A sum of squares is finite only if every term is, so one dot product
+    clears a finite gradient; only a non-finite one, which finite entries
+    can also reach by overflow, leads to the entrywise search.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.dot(grads, grads)):
+            return
+    bad = np.flatnonzero(~np.isfinite(grads))
+    if bad.size:
+        ends = np.cumsum([l.weight.size + l.bias.size for l in params.layers])
+        layer = int(np.searchsorted(ends, bad[0], side="right"))
+        raise DivergenceError(f"non-finite gradient in layer {layer}")
+
+
+def _adam_blocks(state: "AdamState", c1: float, c2: float, p: np.ndarray,
+                 g: np.ndarray) -> None:
+    """Textbook Adam on one flat network, block by block, in place on
+    ``p``, ``state.m`` and ``state.v``.
 
     Each block runs the same float operations in the same order as the
     whole-array expressions, so the bits agree. A division by a bias
     correction that has rounded to exactly 1.0 is an identity and is
-    skipped. A non-finite gradient raises, naming the layer of ``params``
-    that holds its first non-finite entry.
+    skipped.
     """
     b1, b2 = state.beta1, state.beta2
-    new_p, new_m, new_v = np.empty_like(p), np.empty_like(m), np.empty_like(v)
-    buf = np.empty(min(g.size, ADAM_BLOCK))
+    width = min(g.size, ADAM_BLOCK)
+    scratch = step_buffer(("adam",), (2, width))
+    low = step_buffer(("adam-low",), (width,), np.bool_)
     for lo in range(0, g.size, ADAM_BLOCK):
         blk = slice(lo, lo + ADAM_BLOCK)
-        gb, mb, vb, pb = g[blk], new_m[blk], new_v[blk], new_p[blk]
-        tb = buf[:gb.size]
-        if not np.isfinite(gb).all():
-            bad = lo + int(np.argmin(np.isfinite(gb)))
-            ends = np.cumsum([l.weight.size + l.bias.size
-                              for l in params.layers])
-            layer = int(np.searchsorted(ends, bad, side="right"))
-            raise DivergenceError(f"non-finite gradient in layer {layer}")
+        gb, mb, vb, pb = g[blk], state.m[blk], state.v[blk], p[blk]
+        tb, ub, lb = scratch[0, :gb.size], scratch[1, :gb.size], low[:gb.size]
         # m = b1 * m + (1 - b1) * g
-        np.multiply(m[blk], b1, out=mb)
+        mb *= b1
         np.multiply(gb, 1.0 - b1, out=tb)
         mb += tb
         # v = b2 * v + (1 - b2) * g * g, flushed to 0 below V_FLOOR
-        np.multiply(v[blk], b2, out=vb)
+        vb *= b2
         np.multiply(gb, 1.0 - b2, out=tb)
         tb *= gb
         vb += tb
-        np.copyto(vb, 0.0, where=vb < V_FLOOR)
+        np.copyto(vb, 0.0, where=np.less(vb, V_FLOOR, out=lb))
         # p - alpha * (m / c1) / (sqrt(v / c2) + eps)
         if c2 == 1.0:
             np.sqrt(vb, out=tb)
@@ -477,31 +569,34 @@ def _adam_array(state: "AdamState", c1: float, c2: float, p: np.ndarray,
             np.sqrt(tb, out=tb)
         tb += state.eps
         if c1 == 1.0:
-            np.multiply(mb, state.alpha, out=pb)
+            np.multiply(mb, state.alpha, out=ub)
         else:
-            np.divide(mb, c1, out=pb)
-            pb *= state.alpha
-        pb /= tb
-        np.subtract(p[blk], pb, out=pb)
-    return new_p, new_m, new_v
+            np.divide(mb, c1, out=ub)
+            ub *= state.alpha
+        ub /= tb
+        pb -= ub
 
 
 def adam_step(
     state: AdamState, params: MlpParams, grads: np.ndarray
 ) -> Tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state.
+    """One bias-corrected Adam update, in place; returns (params, state),
+    the same objects.
 
-    ``grads`` is one vector laid out like ``params.flat``. The arguments
-    are never written, so a caller can keep them as a rollback point.
+    ``grads`` is one vector laid out like ``params.flat``; it is read
+    only. ``params.flat``, ``state.m`` and ``state.v`` are overwritten
+    and ``state.step`` advances. The whole gradient is checked first: a
+    non-finite entry raises DivergenceError (see check_gradient) before
+    anything is written, so after a raise params and state are
+    bit-identical to what they were. To roll back a step that did
+    succeed, keep a copy from before it.
     """
     if np.shape(grads) != params.flat.shape:
         raise ShapeError(f"gradient shape {np.shape(grads)} != parameter "
                          f"vector shape {params.flat.shape}")
+    check_gradient(params, grads)
     t = state.step + 1
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    p, m, v = _adam_array(state, c1, c2, params.flat, state.m, state.v,
-                          grads, params)
-    new_state = AdamState(step=t, m=m, v=v, alpha=state.alpha,
-                          beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return MlpParams.from_flat(p, params.arch), new_state
+    _adam_blocks(state, 1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t,
+                 params.flat, grads)
+    state.step = t
+    return params, state

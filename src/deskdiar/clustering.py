@@ -42,6 +42,8 @@ DEFAULT_K_MAX = 10
 GAP_FLOOR = 1e-9
 # relative margin on the bounded scan's stop r(p) >= p, for rounding in g_p
 BOUND_SLACK = 1e-9
+# affinity rows sorted per argsort call by _neighbour_order
+ORDER_ROWS = 256
 
 
 class DegenerateAffinityError(ValueError):
@@ -114,11 +116,18 @@ def cosine_affinity(x: np.ndarray) -> np.ndarray:
 
 
 def _neighbour_order(a: np.ndarray) -> np.ndarray:
-    """Column indices of each row's off-diagonal entries, largest first."""
-    masked = a.copy()
-    np.fill_diagonal(masked, -np.inf)
-    # stable sort on negated values: equal entries keep ascending column order
-    return np.argsort(-masked, axis=1, kind="stable")
+    """Column indices (int32) of each row's off-diagonal entries, largest
+    first."""
+    neg = a.copy()
+    np.fill_diagonal(neg, -np.inf)
+    np.negative(neg, out=neg)
+    # stable sort on negated values: equal entries keep ascending column
+    # order; ORDER_ROWS rows at a time bound argsort's int64 output
+    order = np.empty(a.shape, dtype=np.int32)
+    for lo in range(0, a.shape[0], ORDER_ROWS):
+        order[lo:lo + ORDER_ROWS] = np.argsort(
+            neg[lo:lo + ORDER_ROWS], axis=1, kind="stable")
+    return order
 
 
 def binarize_symmetrize(a: np.ndarray, p: int) -> np.ndarray:
@@ -173,11 +182,24 @@ class _NmeStep(NamedTuple):
     eigengap: np.ndarray      # the window gaps
 
 
-def _laplacian_eigvalsh(adj: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Laplacian of the symmetrized graph adj."""
-    abar = (adj + adj.T) / 2.0
+def _laplacian_eigvalsh(adj: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Laplacian of the symmetrized graph adj.
+
+    The Laplacian is ``laplacian((adj + adj.T) / 2.0)`` bit for bit, built
+    in the first adj.size entries of the flat buffer ``buf``. Off the
+    diagonal an entry is 0.0 - abar, as in D - Abar, so a missing edge
+    stays +0.0 (negation would give -0.0); on it, deg + (0.0 - abar)
+    rounds exactly like deg - abar.
+    """
+    n = adj.shape[0]
+    lap = buf[:n * n].reshape(n, n)
+    np.add(adj, adj.T, out=lap)
+    lap /= 2.0
+    deg = lap.sum(axis=1)
+    np.subtract(0.0, lap, out=lap)
+    np.fill_diagonal(lap, lap.diagonal() + deg)
     try:
-        return np.linalg.eigvalsh(np.diag(abar.sum(axis=1)) - abar)
+        return np.linalg.eigvalsh(lap)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from None
 
@@ -209,12 +231,14 @@ def _nme_steps(a: np.ndarray, p_list: Sequence[int], window: int
     of halves, so the block equals the matching block of the whole
     Laplacian bit for bit). The graph only gains edges as p grows, so once
     it is connected it stays connected and the components are no longer
-    looked for.
+    looked for. Every Laplacian, whole or block, is built in one buffer
+    that the whole scan reuses.
     """
     n = a.shape[0]
     order = _neighbour_order(a)
     rows = np.arange(n)[:, None]
     adj = np.eye(n)
+    lap = np.empty(n * n)
     filled = 0
     connected = False
     for p in p_list:
@@ -223,9 +247,9 @@ def _nme_steps(a: np.ndarray, p_list: Sequence[int], window: int
         if not connected:
             members = _components(order, p)
             connected = len(members) == 1
-        graphs = [adj] if connected else [adj[np.ix_(m, m)] for m in members]
-        lam = np.sort(np.concatenate([_laplacian_eigvalsh(g)
-                                      for g in graphs]))
+        lam = np.sort(np.concatenate(
+            [_laplacian_eigvalsh(adj, lap)] if connected else
+            [_laplacian_eigvalsh(adj[np.ix_(m, m)], lap) for m in members]))
         gaps = lam[1: window + 1] - lam[:window]
         g_p = float(gaps.max() / max(lam[-1], EPS))
         r = float(p / g_p) if g_p > GAP_FLOOR else np.inf

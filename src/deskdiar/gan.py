@@ -5,8 +5,10 @@ estimate with gradient penalty) followed by one joint generator/encoder
 update that adds the latent recovery terms, a cosine loss on the continuous
 part and a cross-entropy on the categorical part.
 
-All step functions are pure in the sense that they return fresh parameter
-containers; the networks they contract not to touch are never mutated.
+The step functions update the networks they train in place (see
+``autodiff.adam_step``) and never write the networks they only read. A
+step that raises has written nothing of the step that failed, so the
+training loop rolls back by restoring one copy of D per iteration.
 Diagnostics record the unweighted loss terms so logged values satisfy
 COS in [0, 2], CE >= 0, GP >= 0 regardless of the configured weights.
 """
@@ -27,10 +29,13 @@ from .autodiff import (
     ShapeError,
     adam_init,
     adam_step,
+    check_gradient,
     critic_param_gradient,
     mlp_backward,
     mlp_forward,
     mlp_input_backward,
+    mlp_param_backward,
+    step_buffers,
 )
 from .models import (
     LatentBatch,
@@ -226,7 +231,13 @@ def critic_step(
     iteration: int = 0,
     eps: Optional[np.ndarray] = None,
 ):
-    """One Adam update of the discriminator; G is read but never written."""
+    """One Adam update of the discriminator, in place; G is read but
+    never written.
+
+    Returns (d_params, opt, diagnostics); the first two are the objects
+    passed in, updated. A non-finite loss or gradient raises
+    DivergenceError before D or opt is written.
+    """
     if x_real.shape[0] != cfg.batch or batch.z.shape[0] != cfg.batch:
         raise ShapeError("critic batch size must equal cfg.batch")
     x_fake, _ = mlp_forward(g_params, batch.z)
@@ -272,7 +283,7 @@ def gen_enc_loss_and_grads(
     e_grads, dx_e = mlp_backward(tape_e, upstream_e,
                                  tail_upstream_is_logit_grad=True)
 
-    g_grads, _ = mlp_backward(tape_g, dx_adv + dx_e)
+    g_grads = mlp_param_backward(tape_g, dx_adv + dx_e)
     loss = cfg.w1 * adv + cfg.w2 * cos_loss + cfg.w3 * ce_loss
     return loss, g_grads, e_grads, {"adv": adv, "cos": cos_loss,
                                     "ce": ce_loss}
@@ -289,7 +300,14 @@ def gen_enc_step(
     latent: LatentConfig,
     iteration: int = 0,
 ):
-    """One joint Adam update of G and E; D is read but never written."""
+    """One joint Adam update of G and E, in place; D is read but never
+    written.
+
+    Returns (g_params, e_params, g_opt, e_opt, diagnostics); the first
+    four are the objects passed in, updated. Both gradients are checked
+    before either network is written, so a DivergenceError leaves G, E
+    and their optimizer states as they were.
+    """
     if batch.z.shape[0] != cfg.batch:
         raise ShapeError("gen/enc batch size must equal cfg.batch")
     loss, g_grads, e_grads, diag = gen_enc_loss_and_grads(
@@ -298,6 +316,8 @@ def gen_enc_step(
         raise DivergenceError(
             f"non-finite generator/encoder loss at iteration {iteration}")
     try:
+        check_gradient(g_params, g_grads)
+        check_gradient(e_params, e_grads)
         g_params, g_opt = adam_step(g_opt, g_params, g_grads)
         e_params, e_opt = adam_step(e_opt, e_params, e_grads)
     except DivergenceError as exc:
@@ -328,18 +348,24 @@ def train_clustergan(
 
     Runs cfg.n_iter outer iterations of cfg.n_critic critic updates followed
     by one joint G/E update, logging one diagnostics row per outer iteration.
-    Deterministic for fixed (data, cfg, latent). If any loss turns non-finite
-    the loop stops and the checkpoints from the last completed iteration are
-    returned, with a warning.
+    Deterministic for fixed (data, cfg, latent). The networks of ``models``
+    are copied before training, so the caller's vectors are never
+    written. The steps reuse one set of buffers (``step_buffers``), freed
+    on return. If any loss or gradient turns non-finite the loop stops
+    and the networks from the last completed iteration are returned, with
+    a warning: the failed step wrote nothing, and D, the only network an
+    iteration writes before its last step, is restored from a copy taken
+    as the iteration began.
     """
     if latent.d_c != data.k:
         raise ValueError(
             f"latent d_c {latent.d_c} must equal speaker count {data.k}")
     if models is None:
-        g_ck, d_ck, e_ck = build_models(data.dim, latent, seed=cfg.seed)
+        g, d, e = (ck.params for ck in
+                   build_models(data.dim, latent, seed=cfg.seed))
     else:
-        g_ck, d_ck, e_ck = models
-    g, d, e = g_ck.params, d_ck.params, e_ck.params
+        g, d, e = (MlpParams.from_flat(ck.params.flat.copy(), ck.params.arch)
+                   for ck in models)
 
     rng = np.random.default_rng(cfg.seed)
     g_opt = adam_init(g, cfg.alpha, cfg.beta1, cfg.beta2)
@@ -347,26 +373,27 @@ def train_clustergan(
     d_opt = adam_init(d, cfg.alpha, cfg.beta1, cfg.beta2)
 
     log: List[Dict[str, float]] = []
-    good = (g, d, e)
-    for it in range(1, cfg.n_iter + 1):
-        try:
-            for _ in range(cfg.n_critic):
-                rows = rng.integers(0, data.n, size=cfg.batch)
+    d_good = np.empty_like(d.flat)
+    with step_buffers():
+        for it in range(1, cfg.n_iter + 1):
+            np.copyto(d_good, d.flat)
+            try:
+                for _ in range(cfg.n_critic):
+                    rows = rng.integers(0, data.n, size=cfg.batch)
+                    labels = rng.integers(0, latent.d_c, size=cfg.batch)
+                    zb = sample_latent(cfg.batch, latent, labels, rng)
+                    d, d_opt, cdiag = critic_step(
+                        d, g, data.x[rows], zb, cfg, d_opt, rng, iteration=it)
                 labels = rng.integers(0, latent.d_c, size=cfg.batch)
                 zb = sample_latent(cfg.batch, latent, labels, rng)
-                d, d_opt, cdiag = critic_step(
-                    d, g, data.x[rows], zb, cfg, d_opt, rng, iteration=it)
-            labels = rng.integers(0, latent.d_c, size=cfg.batch)
-            zb = sample_latent(cfg.batch, latent, labels, rng)
-            g, e, g_opt, e_opt, gdiag = gen_enc_step(
-                g, e, d, zb, cfg, g_opt, e_opt, latent, iteration=it)
-        except DivergenceError as exc:
-            warnings.warn(f"training stopped: {exc}; returning state from "
-                          f"iteration {it - 1}")
-            g, d, e = good
-            break
-        good = (g, d, e)
-        log.append({"iter": it, **cdiag, **gdiag})
+                g, e, g_opt, e_opt, gdiag = gen_enc_step(
+                    g, e, d, zb, cfg, g_opt, e_opt, latent, iteration=it)
+            except DivergenceError as exc:
+                warnings.warn(f"training stopped: {exc}; returning state "
+                              f"from iteration {it - 1}")
+                np.copyto(d.flat, d_good)
+                break
+            log.append({"iter": it, **cdiag, **gdiag})
 
     if log_path is not None:
         _write_log(log_path, log)

@@ -5,8 +5,9 @@ with the current encoder, forms per-speaker prototypes as support means,
 and scores queries by a softmax over negative squared Euclidean distances
 to the prototypes. The query and support branches share the encoder, so
 gradients flow through both. The first ``frozen_layers`` layers are a
-frozen prefix that episodes run through forward only; only the trainable
-suffix behind it is differentiated and updated.
+frozen prefix: the corpus runs through it once, forward only, and episodes
+are drawn from the mapped rows; only the trainable suffix behind it is
+differentiated and updated.
 
 Embeddings here are the raw final-layer outputs (no softmax on the
 categorical tail); that is the representation the fine-tuned encoder later
@@ -28,8 +29,10 @@ from .autodiff import (
     ShapeError,
     adam_init,
     adam_step,
-    mlp_backward,
     mlp_forward,
+    mlp_param_backward,
+    step_buffer,
+    step_buffers,
 )
 from .gan import LabeledEmbeddings
 from .models import MlpCheckpoint, Provenance, config_digest, logits_view
@@ -108,7 +111,10 @@ def sample_episode(
     data: LabeledEmbeddings, cfg: ProtoConfig, rng: np.random.Generator
 ) -> Episode:
     """Draw one episode: uniform N_C, speakers without replacement, then
-    disjoint support and query rows per speaker."""
+    disjoint support and query rows per speaker.
+
+    Inside ``autodiff.step_buffers()`` the support and query arrays are
+    reused by the next episode of the same size."""
     counts = np.bincount(data.labels, minlength=data.k)
     need = cfg.n_s + cfg.n_q
     eligible = np.flatnonzero(counts >= need)
@@ -119,8 +125,8 @@ def sample_episode(
     choices = n_c_choice_set(int(eligible.size))
     n_c = int(rng.choice(choices))
     speakers = rng.choice(eligible, size=n_c, replace=False)
-    support = np.empty((n_c, cfg.n_s, data.dim))
-    query = np.empty((n_c, cfg.n_q, data.dim))
+    support = step_buffer(("support",), (n_c, cfg.n_s, data.dim))
+    query = step_buffer(("query",), (n_c, cfg.n_q, data.dim))
     for i, spk in enumerate(speakers):
         rows = np.flatnonzero(data.labels == spk)
         picked = rng.permutation(rows)[:need]
@@ -169,7 +175,9 @@ def proto_loss(
     if idx.min() < 0 or idx.max() >= p.shape[0]:
         raise ValueError("query class index outside prototype range")
 
-    diff = q[:, None, :] - p[None, :, :]            # (nq, nc, dim)
+    diff = np.subtract(q[:, None, :], p[None, :, :],  # (nq, nc, dim)
+                       out=step_buffer(("proto-diff",),
+                                       (q.shape[0],) + p.shape))
     dist = np.einsum("jkd,jkd->jk", diff, diff)      # squared distances
     logits = -dist
     shift = logits - logits.max(axis=1, keepdims=True)
@@ -193,8 +201,10 @@ def proto_loss(
 def _stacked(episode: Episode) -> np.ndarray:
     """Support rows, speaker by speaker, then query rows, in one batch."""
     dim = episode.support.shape[2]
-    return np.concatenate([episode.support.reshape(-1, dim),
-                           episode.query.reshape(-1, dim)])
+    sup = episode.support.reshape(-1, dim)
+    qry = episode.query.reshape(-1, dim)
+    return np.concatenate([sup, qry], out=step_buffer(
+        ("episode-rows",), (len(sup) + len(qry), dim)))
 
 
 def episode_loss_and_grads(
@@ -213,7 +223,7 @@ def episode_loss_and_grads(
     loss, _, grad_q, grad_p = proto_loss(protos, emb[n_sup:], labels)
     # prototype gradient spreads evenly over that speaker's supports
     upstream = np.concatenate([np.repeat(grad_p / n_s, n_s, axis=0), grad_q])
-    grads, _ = mlp_backward(tape, upstream)
+    grads = mlp_param_backward(tape, upstream)
     return loss, grads, {"n_c": n_c, "loss": loss}
 
 
@@ -227,13 +237,17 @@ def finetune_mcgan(
     """Fine-tune a pre-trained encoder with the prototypical loss.
 
     The encoder's parameter vector is split at layer cfg.frozen_layers
-    into a frozen prefix and a trainable suffix, both views of it. Each
-    episode runs forward through the prefix, and the suffix follows Adam
-    on the prototypical loss of the mapped episode; the prefix keeps its
-    weights bitwise intact and is never differentiated. With every layer
-    frozen nothing trains and no episode runs. Returns the encoder with
-    provenance stage "mcgan" plus the per-episode loss curve. On a
-    non-finite loss the loop stops with the last completed state.
+    into a frozen prefix and a trainable suffix. The corpus runs through
+    the prefix once (one 512-wide row per corpus row for the shipped
+    encoder) and episodes are drawn from the mapped rows; the suffix, a
+    copy, so the caller's encoder is never written, follows Adam on the
+    prototypical loss of each episode, with the step buffers reused
+    (``step_buffers``). The prefix keeps its weights bitwise intact and is
+    never differentiated. With every layer frozen nothing trains and no
+    episode runs. Returns the encoder with provenance stage "mcgan" plus
+    the per-episode loss curve. On a non-finite loss or gradient the loop
+    stops with the last completed state, which the failed episode never
+    wrote.
     """
     if encoder.role != "encoder":
         raise ValueError(f"expected an encoder checkpoint, got {encoder.role}")
@@ -246,34 +260,29 @@ def finetune_mcgan(
     episodes = cfg.episodes if cfg.frozen_layers < len(arch) else 0
     k = min(cfg.frozen_layers, len(arch) - 1)
     cut = sum(l.weight.size + l.bias.size for l in params.layers[:k])
-    frozen = MlpParams.from_flat(params.flat[:cut], arch[:k]) if k else None
-    tuned = MlpParams.from_flat(params.flat[cut:], arch[k:])
+    tuned = MlpParams.from_flat(params.flat[cut:].copy(), arch[k:])
+    if k and episodes:
+        frozen = MlpParams.from_flat(params.flat[:cut], arch[:k])
+        mapped, _ = mlp_forward(frozen, data.x)
+        data = LabeledEmbeddings(x=mapped, labels=data.labels, k=data.k)
     rng = np.random.default_rng(cfg.seed)
     opt = adam_init(tuned, cfg.alpha, cfg.beta1, cfg.beta2)
     curve: List[Dict[str, float]] = []
-    good = tuned
-    for ep in range(1, episodes + 1):
-        episode = sample_episode(data, cfg, rng)
-        if frozen is not None:
-            n_c, n_sup = episode.n_c, episode.n_c * cfg.n_s
-            h, _ = mlp_forward(frozen, _stacked(episode))
-            episode = Episode(speakers=episode.speakers,
-                              support=h[:n_sup].reshape(n_c, cfg.n_s, -1),
-                              query=h[n_sup:].reshape(n_c, cfg.n_q, -1))
-        try:
-            loss, grads, diag = episode_loss_and_grads(
-                tuned, episode, cfg.n_s)
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite episode loss at episode {ep}")
-            tuned, opt = adam_step(opt, tuned, grads)
-        except DivergenceError as exc:
-            warnings.warn(f"fine-tuning stopped: {exc}; returning state "
-                          f"from episode {ep - 1}")
-            tuned = good
-            break
-        good = tuned
-        curve.append({"episode": ep, "n_c": diag["n_c"], "loss": loss})
+    with step_buffers():
+        for ep in range(1, episodes + 1):
+            episode = sample_episode(data, cfg, rng)
+            try:
+                loss, grads, diag = episode_loss_and_grads(
+                    tuned, episode, cfg.n_s)
+                if not np.isfinite(loss):
+                    raise DivergenceError(
+                        f"non-finite episode loss at episode {ep}")
+                adam_step(opt, tuned, grads)
+            except DivergenceError as exc:
+                warnings.warn(f"fine-tuning stopped: {exc}; returning state "
+                              f"from episode {ep - 1}")
+                break
+            curve.append({"episode": ep, "n_c": diag["n_c"], "loss": loss})
     params = MlpParams.from_flat(
         np.concatenate([params.flat[:cut], tuned.flat]), arch)
 

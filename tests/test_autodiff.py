@@ -17,6 +17,7 @@ from deskdiar.autodiff import (
     mlp_backward,
     mlp_forward,
     mlp_input_backward,
+    mlp_param_backward,
 )
 from oracles import (
     assert_grads_close,
@@ -212,6 +213,18 @@ def test_input_backward_matches_full_backward_bits(rng):
         mlp_input_backward(tape, np.ones((4, 2)))
 
 
+@pytest.mark.parametrize("logit_grad", [False, True])
+def test_param_backward_matches_full_backward_bits(rng, logit_grad):
+    net = random_params(rng, [5, 7, 6, 4], final="softmax-tail", tail=3)
+    _, tape = mlp_forward(net, rng.standard_normal((4, 5)))
+    upstream = rng.standard_normal((4, 4))
+    grads, _ = mlp_backward(tape, upstream, logit_grad)
+    got = mlp_param_backward(tape, upstream, logit_grad)
+    assert np.array_equal(got.view(np.int64), grads.view(np.int64))
+    with pytest.raises(ShapeError):
+        mlp_param_backward(tape, np.ones((4, 2)))
+
+
 def test_gradient_property_suite_50_seeds():
     # randomized nets up to 3 hidden layers vs central finite differences
     for seed in range(50):
@@ -355,12 +368,22 @@ def test_adam_single_step_hand_computation(rng):
     alpha, eps = 1e-2, 1e-8
     state = adam_init(net, alpha=alpha, beta1=0.5, beta2=0.9, eps=eps)
     g = rng.standard_normal(net.flat.size)
-    updated, _ = adam_step(state, net, g)
     (gw, gb), = net.views(g)
+    # the step writes net in place, so the expectation is taken first
     expect_w = net.layers[0].weight - alpha * gw / (np.abs(gw) + eps)
     expect_b = net.layers[0].bias - alpha * gb / (np.abs(gb) + eps)
+    updated, _ = adam_step(state, net, g)
+    assert updated is net
     assert np.abs(updated.layers[0].weight - expect_w).max() <= 1e-12
     assert np.abs(updated.layers[0].bias - expect_b).max() <= 1e-12
+    # a raise leaves p, m and v bit-identical
+    before = _bits([net.flat, state.m, state.v])
+    g[2] = np.nan
+    with pytest.raises(DivergenceError):
+        adam_step(state, net, g)
+    after = _bits([net.flat, state.m, state.v])
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert state.step == 1
 
 
 def test_adam_converges_on_quadratic(rng):
@@ -408,11 +431,13 @@ def test_adam_matches_textbook_bits_and_leaves_inputs_alone(rng, start_step):
     for _ in range(6):
         grads = rng.standard_normal(net.flat.size)
         net.views(grads)[0][0][0, :5] = 0.0
-        before = _bits([net.flat, state.m, state.v, grads])
+        grads_before = _bits([grads])
+        # fresh arrays, computed before the step writes p, m and v
         ref = _textbook_adam(state, net, grads)
+        step = state.step
         new_net, new_state = adam_step(state, net, grads)
-        after = _bits([net.flat, state.m, state.v, grads])
-        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert new_net is net and new_state is state
+        assert np.array_equal(grads_before[0], _bits([grads])[0])
         got = {"p": new_net.flat, "m": new_state.m, "v": new_state.v}
         for key, array in got.items():
             assert np.array_equal(array.view(np.int64),
@@ -422,8 +447,18 @@ def test_adam_matches_textbook_bits_and_leaves_inputs_alone(rng, start_step):
             assert np.shares_memory(layer.weight, new_net.flat)
             assert np.array_equal(layer.weight, w)
             assert np.array_equal(layer.bias, b)
-        assert new_state.step == state.step + 1
+        assert new_state.step == step + 1
         net, state = new_net, new_state
+    # a non-finite entry past the first blocks raises before any block
+    # is written: p, m, v and the step count stay as they were
+    before = _bits([net.flat, state.m, state.v])
+    grads = rng.standard_normal(net.flat.size)
+    grads[2 * ADAM_BLOCK + 7] = np.inf
+    with pytest.raises(DivergenceError, match="layer 0"):
+        adam_step(state, net, grads)
+    after = _bits([net.flat, state.m, state.v])
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert state.step == start_step + 6
 
 
 @pytest.mark.parametrize("start_step", [0, 400])
@@ -439,11 +474,19 @@ def test_adam_flushes_subnormal_second_moments(rng, start_step):
                       v=v, alpha=3e-3)
     grads = rng.standard_normal(net.flat.size)
     grads[::3] = 0.0
-    new_net, new_state = adam_step(state, net, grads)
+    # the references are fresh arrays, taken before the step writes
     raw = _textbook_adam(state, net, grads, flush=False)
+    flushed = _textbook_adam(state, net, grads)["v"]
+    bad = grads.copy()
+    bad[-1] = -np.inf
+    before = _bits([net.flat, state.m, state.v])
+    with pytest.raises(DivergenceError):
+        adam_step(state, net, bad)
+    after = _bits([net.flat, state.m, state.v])
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    new_net, new_state = adam_step(state, net, grads)
     assert (raw["v"][::3] < tiny).all() and (raw["v"][::3] > 0.0).all()
     assert np.array_equal(new_state.v[::3], np.zeros(v[::3].size))
-    flushed = _textbook_adam(state, net, grads)["v"]
     assert np.array_equal(new_state.v.view(np.int64), flushed.view(np.int64))
     assert np.array_equal(new_net.flat.view(np.int64),
                           raw["p"].view(np.int64))

@@ -14,8 +14,11 @@ from deskdiar.clustering import (
     GAP_FLOOR,
     ClusterAssignment,
     DegenerateAffinityError,
+    ORDER_ROWS,
     EigenConvergenceError,
+    _components,
     _lloyd,
+    _neighbour_order,
     _nme_steps,
     _NmeStep,
     binarize_symmetrize,
@@ -541,6 +544,51 @@ class TestComponentSpectra:
         n_comps = self.assert_matches_dense(
             a, [9, 2, 17, 2, 5, 19, 9, 1])
         assert max(n_comps) > 1 and n_comps[-1] == 1
+
+
+class TestScanMemory:
+    """The scan's reused Laplacian buffer and int32 neighbour order give
+    the bits of the fresh-array reference."""
+
+    def test_neighbour_order_is_int32_stable_argsort(self, rng):
+        # more rows than one argsort call takes, and ties in every row
+        n = ORDER_ROWS + 37
+        a = np.round(cosine_affinity(rng.standard_normal((n, 3))), 1)
+        order = _neighbour_order(a)
+        assert order.dtype == np.int32
+        masked = a.copy()
+        np.fill_diagonal(masked, -np.inf)
+        ref = np.argsort(-masked, axis=1, kind="stable")
+        assert np.array_equal(order, ref)
+
+    @pytest.mark.parametrize("k, std", [(4, 0.08), (3, 0.3)])
+    def test_scan_laplacians_match_reference_bits(self, monkeypatch, k, std):
+        # every matrix the scan hands to eigvalsh, one component's block
+        # while the graph is split and the whole graph once it is not,
+        # equals the block of laplacian(binarize_symmetrize(a, p)) in its
+        # int64 view: no -0.0 off the diagonal
+        a = planted_affinity(k, std, 0, n=60)
+        seen = []
+        real = np.linalg.eigvalsh
+
+        def capture(mat):
+            seen.append(mat.copy())
+            return real(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", capture)
+        p_list = [1, 2, 5, 13, 21, 34]
+        list(_nme_steps(a, p_list, DEFAULT_K_MAX))
+        monkeypatch.undo()
+        want, split = [], 0
+        for p in p_list:
+            abar = binarize_symmetrize(a, p)
+            members = _components(_neighbour_order(a), p)
+            split += len(members) > 1
+            want += [laplacian(abar[np.ix_(m, m)]) for m in members]
+        assert 0 < split < len(p_list)
+        assert len(seen) == len(want)
+        for got, ref in zip(seen, want):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from deskdiar import gan
 from deskdiar.autodiff import (
     DivergenceError,
     Layer,
@@ -464,3 +465,91 @@ def test_train_divergence_keeps_last_good_state(rng):
         for la, lb in zip(got.params.layers, init.params.layers):
             assert np.array_equal(la.weight, lb.weight)
     assert log == []
+
+
+# ---------------------------------------------------- in-place rollback
+
+def _flat_bits(params):
+    return params.flat.copy().view(np.int64)
+
+
+# where each gradient function returns its flat parameter gradient
+GRAD_INDEX = {"critic_param_gradient": 2, "mlp_backward": 0}
+
+
+def _poison(name, at, entry):
+    """gan.<name>, except that its ``at``-th call (from 1) returns a copy
+    of the flat gradient with a NaN at ``entry``; also the call log."""
+    real, index, calls = getattr(gan, name), GRAD_INDEX[name], []
+
+    def poisoned(*args, **kwargs):
+        out = list(real(*args, **kwargs))
+        calls.append(len(calls) + 1)
+        if len(calls) == at:
+            out[index] = out[index].copy()
+            out[index][entry] = np.nan
+        return tuple(out)
+
+    return poisoned, calls
+
+
+@pytest.mark.parametrize("target, at", [
+    ("critic_param_gradient", 5 + 3),   # critic step 3 of iteration 2
+    ("mlp_backward", 2),                # E's gradient in iteration 2
+])
+def test_train_rollback_returns_last_iteration_bits(rng, monkeypatch,
+                                                     target, at):
+    # By the failure, iteration 2 has written D (two critic steps, or all
+    # five); D comes back from its copy and G and E were never written,
+    # so the result is the 1-iteration run bit for bit
+    data = make_corpus(rng)
+    latent = LatentConfig(d_c=4, d_n=3)
+    cfg = tiny_cfg(n_iter=4, n_critic=5, seed=6)
+    one = train_clustergan(data, tiny_cfg(n_iter=1, n_critic=5, seed=6),
+                           latent)
+    poisoned, calls = _poison(target, at, -1)
+    monkeypatch.setattr(gan, target, poisoned)
+    with pytest.warns(UserWarning,
+                      match="non-finite gradient .* iteration 2; "
+                            "returning state from iteration 1"):
+        g, d, e, log = train_clustergan(data, cfg, latent)
+    assert len(calls) == at
+    assert log == one[3]
+    for got, want in zip((g, d, e), one[:3]):
+        assert np.array_equal(_flat_bits(got.params), _flat_bits(want.params))
+
+
+def test_gen_enc_non_finite_encoder_gradient_leaves_generator_unwritten(
+        rng, monkeypatch):
+    latent, g, d, e, zb = _joint_setup(rng)
+    g_opt, e_opt = adam_init(g), adam_init(e)
+    # G's gradient is finite: without the poison the step writes G
+    _, g_grads, _, _ = gen_enc_loss_and_grads(g, e, d, zb, tiny_cfg(), latent)
+    assert np.isfinite(g_grads).all() and g_grads.any()
+    poisoned, _ = _poison("mlp_backward", 1, 0)
+    monkeypatch.setattr(gan, "mlp_backward", poisoned)
+    before = [a.copy().view(np.int64) for a in
+              (g.flat, g_opt.m, g_opt.v, e.flat, e_opt.m, e_opt.v)]
+    with pytest.raises(DivergenceError, match="layer 0 at iteration 3"):
+        gen_enc_step(g, e, d, zb, tiny_cfg(), g_opt, e_opt, latent,
+                     iteration=3)
+    after = [a.copy().view(np.int64) for a in
+             (g.flat, g_opt.m, g_opt.v, e.flat, e_opt.m, e_opt.v)]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert g_opt.step == e_opt.step == 0
+
+
+def test_train_leaves_the_callers_models_untouched(rng):
+    data = make_corpus(rng)
+    latent = LatentConfig(d_c=4, d_n=3)
+    cfg = tiny_cfg(n_iter=3, n_critic=2, seed=4)
+    models = build_models(data.dim, latent, seed=4)
+    before = [_flat_bits(ck.params) for ck in models]
+    trained = train_clustergan(data, cfg, latent, models=models)[:3]
+    for ck, bits, out in zip(models, before, trained):
+        assert np.array_equal(_flat_bits(ck.params), bits)
+        assert not np.shares_memory(ck.params.flat, out.params.flat)
+        assert not np.array_equal(ck.params.flat, out.params.flat)
+    again = train_clustergan(data, cfg, latent, models=models)[:3]
+    for a, b in zip(trained, again):
+        assert np.array_equal(_flat_bits(a.params), _flat_bits(b.params))

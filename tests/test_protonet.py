@@ -359,6 +359,22 @@ def test_frozen_prefix_matches_zeroed_gradient_reference(rng):
                           params.flat.view(np.int64))
 
 
+def test_finetune_leaves_the_callers_encoder_untouched(rng):
+    # the trainable suffix is a copy: Adam's in-place writes never reach
+    # the vector of the checkpoint passed in
+    e = tiny_encoder(rng)
+    data = corpus(rng, dim=6, spread=0.8, std=0.6)
+    before = e.params.flat.copy().view(np.int64)
+    cfg = ProtoConfig(episodes=10, seed=1)
+    out, _ = finetune_mcgan(e, data, cfg)
+    assert np.array_equal(e.params.flat.view(np.int64), before)
+    assert not np.shares_memory(out.params.flat, e.params.flat)
+    assert not np.array_equal(out.params.flat, e.params.flat)
+    again, _ = finetune_mcgan(e, data, cfg)
+    assert np.array_equal(again.params.flat.view(np.int64),
+                          out.params.flat.view(np.int64))
+
+
 def test_finetune_loss_decreases_on_separable_corpus(rng):
     latent = LatentConfig(d_c=4, d_n=4)
     e = tiny_encoder(rng, dim=16, latent=latent)
