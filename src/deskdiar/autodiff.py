@@ -15,11 +15,13 @@ raise leaves them bit-identical. A caller that needs an older state as a
 rollback point keeps its own copy. Every other operation returns fresh
 arrays, except inside ``step_buffers()``: there each forward activation,
 ReLU mask, reverse-sweep delta, flat gradient and Adam scratch block is
-allocated once per network and shape and rewritten by the next call.
+allocated once per network, at its largest size, and rewritten by the
+next call.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -58,13 +60,15 @@ _ARENA: ContextVar[Optional[Dict[tuple, np.ndarray]]] = ContextVar(
 def step_buffers() -> Iterator[None]:
     """Reuse one set of buffers for every training step run in the block.
 
-    Inside, ``step_buffer`` hands out the same array for the same key,
-    shape and dtype, so a loop's steps allocate their large arrays once
-    and fault in no fresh pages; the buffers are freed when the block
-    exits. An array drawn from them, such as a forward output, a tape's
-    records or a flat gradient, stays valid until the next call that
-    draws the same key, that is the next pass of the same network on a
-    batch of the same shape.
+    Inside, ``step_buffer`` hands out the same memory for the same key
+    and dtype, so a loop's steps allocate their large arrays once and
+    fault in no fresh pages; the buffers are freed when the block exits.
+    Each key holds one flat buffer, grown to the largest size drawn so
+    far, so steps of varying shape (episodes of varying speaker count)
+    retain what the largest step needs, not a set per shape. An array
+    drawn from it, such as a forward output, a tape's records or a flat
+    gradient, stays valid until the next call that draws the same key,
+    that is the next pass of the same network.
     """
     token = _ARENA.set({})
     try:
@@ -76,16 +80,17 @@ def step_buffers() -> Iterator[None]:
 def step_buffer(key: tuple, shape: Tuple[int, ...],
                 dtype=np.float64) -> np.ndarray:
     """An uninitialized array: fresh outside ``step_buffers()``, and
-    inside it the same array for every call with this key, shape and
-    dtype."""
+    inside it a view of the leading entries of the one buffer held for
+    this key and dtype, which grows when a larger shape is asked for."""
     arena = _ARENA.get()
     if arena is None:
         return np.empty(shape, dtype)
-    slot = (key, shape, np.dtype(dtype).char)
+    size = math.prod(shape)
+    slot = (key, np.dtype(dtype).char)
     buf = arena.get(slot)
-    if buf is None:
-        buf = arena[slot] = np.empty(shape, dtype)
-    return buf
+    if buf is None or buf.size < size:
+        buf = arena[slot] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 def _as_batch(x: np.ndarray) -> np.ndarray:

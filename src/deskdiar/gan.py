@@ -304,9 +304,10 @@ def gen_enc_step(
     written.
 
     Returns (g_params, e_params, g_opt, e_opt, diagnostics); the first
-    four are the objects passed in, updated. Both gradients are checked
-    before either network is written, so a DivergenceError leaves G, E
-    and their optimizer states as they were.
+    four are the objects passed in, updated. E's gradient is checked
+    before G is written, and adam_step checks G's before it writes
+    anything, so a DivergenceError leaves G, E and their optimizer
+    states as they were.
     """
     if batch.z.shape[0] != cfg.batch:
         raise ShapeError("gen/enc batch size must equal cfg.batch")
@@ -316,7 +317,6 @@ def gen_enc_step(
         raise DivergenceError(
             f"non-finite generator/encoder loss at iteration {iteration}")
     try:
-        check_gradient(g_params, g_grads)
         check_gradient(e_params, e_grads)
         g_params, g_opt = adam_step(g_opt, g_params, g_grads)
         e_params, e_opt = adam_step(e_opt, e_params, e_grads)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from deskdiar import autodiff, protonet
 from deskdiar.autodiff import (
     MlpParams,
     adam_init,
@@ -37,14 +38,58 @@ def test_step_buffer_is_fresh_outside_and_shared_inside():
     assert not np.shares_memory(a, b)
     with step_buffers():
         c = step_buffer(("k",), (3, 4))
-        assert step_buffer(("k",), (3, 4)) is c
-        assert step_buffer(("k",), (4, 3)) is not c
-        assert step_buffer(("k",), (3, 4), np.int64) is not c
-        assert step_buffer(("other",), (3, 4)) is not c
+        assert c.shape == (3, 4) and c.flags.c_contiguous
+        assert np.shares_memory(step_buffer(("k",), (3, 4)), c)
+        assert np.shares_memory(step_buffer(("k",), (2, 5)), c)
+        assert not np.shares_memory(step_buffer(("k",), (3, 4), np.int64), c)
+        assert not np.shares_memory(step_buffer(("other",), (3, 4)), c)
         with step_buffers():
-            assert step_buffer(("k",), (3, 4)) is not c
-        assert step_buffer(("k",), (3, 4)) is c
-    assert step_buffer(("k",), (3, 4)) is not c
+            assert not np.shares_memory(step_buffer(("k",), (3, 4)), c)
+        assert np.shares_memory(step_buffer(("k",), (3, 4)), c)
+        big = step_buffer(("k",), (5, 4))  # outgrows c: a new buffer
+        assert not np.shares_memory(big, c)
+        assert np.shares_memory(step_buffer(("k",), (3, 4)), big)
+    assert not np.shares_memory(step_buffer(("k",), (3, 4)), c)
+
+
+def _arena_bytes() -> int:
+    return sum(buf.nbytes for buf in autodiff._ARENA.get().values())
+
+
+def test_episodes_of_many_sizes_retain_only_the_largest_ones_buffers(rng):
+    # 60 speakers: episodes of 10 to 60 speakers, drawn in mixed order
+    net = random_params(rng, (6, 9, 5))
+    labels = np.repeat(np.arange(60), 20)
+    data = LabeledEmbeddings(x=rng.standard_normal((labels.size, 6)),
+                             labels=labels, k=60)
+    cfg = ProtoConfig(episodes=1)
+    draw = np.random.default_rng(3)
+    episodes = []
+    while len({ep.n_c for ep in episodes}) < 6:
+        ep = sample_episode(data, cfg, draw)
+        episodes.append(ep)
+    fresh = [episode_loss_and_grads(net, ep, cfg.n_s)[1] for ep in episodes]
+    largest = max(episodes, key=lambda ep: ep.n_c)
+
+    with step_buffers():
+        episode_loss_and_grads(net, largest, cfg.n_s)
+        alone = _arena_bytes()
+    with step_buffers():
+        for ep, want in zip(episodes, fresh):
+            got = episode_loss_and_grads(net, ep, cfg.n_s)[1]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        mixed = _arena_bytes()
+    assert mixed == alone, f"{mixed} bytes held, {alone} for the largest"
+
+
+def test_prefix_maps_in_chunks_bit_for_bit(rng, monkeypatch):
+    frozen = random_params(rng, (6, 16, 16))
+    x = rng.standard_normal((203, 6))
+    whole = mlp_forward(frozen, x)[0].copy()
+    monkeypatch.setattr(protonet, "PREFIX_CHUNK", 50)  # 5 chunks of 40-41
+    assert np.array_equal(protonet.map_prefix(frozen, x).view(np.int64),
+                          whole.view(np.int64))
+    assert protonet.map_prefix(frozen, x[:0]).shape == (0, 16)
 
 
 def _bits(arrays):
