@@ -1,9 +1,11 @@
 # How far can the auto-tuned spectral back-end be pushed before it loses
 # the planted speaker count? Sweeps k and the within-speaker noise level
 # and reports POC / mean |k_hat - k| per cell. Every session also runs
-# through the bounded scan that diarization uses; the sweep fails if it
-# picks another (p_hat, k_hat) than the exhaustive scan, and a second table
-# gives the share of candidate p it visited.
+# through `spectral_cluster`, the path that diarization uses; the sweep
+# fails if its bounded scan picks another (p_hat, k_hat) than the
+# exhaustive scan, or if its labels differ from the reference chain
+# kmeans(eig_sym(laplacian(binarize_symmetrize(a, p_hat)))) at the same
+# seed. A second table gives the share of candidate p the scan visited.
 
 import argparse
 import sys
@@ -11,8 +13,9 @@ import time
 
 import numpy as np
 
-from deskdiar.clustering import (cosine_affinity, nme_select,
-                                 nme_select_bounded)
+from deskdiar.clustering import (binarize_symmetrize, cosine_affinity,
+                                 eig_sym, kmeans, laplacian, nme_select,
+                                 spectral_cluster)
 
 
 def planted_session(k, std, seed, n=80, dim=16, min_deg=25.0):
@@ -56,14 +59,23 @@ def main():
         for k in ks:
             hats, scanned = [], []
             for seed in range(args.sessions):
-                a = cosine_affinity(planted_session(
-                    k, std, seed, n=args.rows, dim=args.dim))
-                full, bounded = nme_select(a), nme_select_bounded(a)
+                x = planted_session(k, std, seed, n=args.rows, dim=args.dim)
+                a = cosine_affinity(x)
+                asg, bounded = spectral_cluster(x, seed=seed)
+                full = nme_select(a)
+                cell = f"k={k} std={std} seed={seed}"
                 if (bounded.p_hat, bounded.k_hat) != (full.p_hat, full.k_hat):
                     mismatches.append(
-                        f"k={k} std={std} seed={seed}: bounded "
-                        f"({bounded.p_hat}, {bounded.k_hat}), full "
-                        f"({full.p_hat}, {full.k_hat})")
+                        f"{cell}: bounded ({bounded.p_hat}, "
+                        f"{bounded.k_hat}), full ({full.p_hat}, "
+                        f"{full.k_hat})")
+                _, vec = eig_sym(laplacian(binarize_symmetrize(
+                    a, bounded.p_hat)))
+                ref = kmeans(vec[:, :bounded.k_hat], bounded.k_hat,
+                             seed=seed)
+                if not np.array_equal(asg.labels, ref.labels):
+                    mismatches.append(f"{cell}: labels differ from the "
+                                      f"reference partition")
                 hats.append(full.k_hat)
                 scanned.append(len(bounded.trace) / len(full.trace))
             hats = np.array(hats)
@@ -82,7 +94,7 @@ def main():
         print(f"{std:.2f}  " + "  ".join(f"{share:>9.1f}%" for share in row))
     print(f"{time.perf_counter() - t0:.0f}s total")
     if mismatches:
-        print("\n".join(["bounded and exhaustive scans disagree:"]
+        print("\n".join(["spectral_cluster departs from the reference:"]
                         + mismatches), file=sys.stderr)
         sys.exit(1)
 

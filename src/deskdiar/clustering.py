@@ -11,9 +11,10 @@ The scan does no work twice: each affinity row is sorted once, the
 binarized graph grows by the next neighbour columns from one p to the next,
 and only eigenvalues are computed per p, one block per connected component
 while the graph has several. `nme_select` visits every candidate p;
-`nme_select_bounded`, which diarization uses, stops at the first p that
-provably cannot win (r(p) >= p) and makes the same pick. Eigenvectors are
-taken once, by `spectral_partition`, at the selected p.
+`nme_select_bounded` stops at the first p that provably cannot win
+(r(p) >= p) and makes the same pick. `spectral_cluster`, diarization's one
+spectral path, runs the bounded scan on its own sort of the rows and takes
+eigenvectors once, at the selected p, of a Laplacian built as the scan's.
 """
 
 from __future__ import annotations
@@ -118,6 +119,9 @@ def cosine_affinity(x: np.ndarray) -> np.ndarray:
 def _neighbour_order(a: np.ndarray) -> np.ndarray:
     """Column indices (int32) of each row's off-diagonal entries, largest
     first."""
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ShapeError("affinity must be square")
     neg = a.copy()
     np.fill_diagonal(neg, -np.inf)
     np.negative(neg, out=neg)
@@ -134,12 +138,10 @@ def binarize_symmetrize(a: np.ndarray, p: int) -> np.ndarray:
     """Keep each row's p largest off-diagonal entries as 1, zero the rest,
     then average with the transpose. Ties break toward the lower column
     index; the diagonal is excluded from selection and kept at 1."""
+    order = _neighbour_order(a)
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise ShapeError("affinity must be square")
     if not 1 <= p <= n - 1:
         raise ValueError(f"p must lie in [1, {n - 1}], got {p}")
-    order = _neighbour_order(a)
     a_p = np.zeros_like(a)
     rows = np.repeat(np.arange(n), p)
     a_p[rows, order[:, :p].ravel()] = 1.0
@@ -182,14 +184,13 @@ class _NmeStep(NamedTuple):
     eigengap: np.ndarray      # the window gaps
 
 
-def _laplacian_eigvalsh(adj: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Laplacian of the symmetrized graph adj.
-
-    The Laplacian is ``laplacian((adj + adj.T) / 2.0)`` bit for bit, built
-    in the first adj.size entries of the flat buffer ``buf``. Off the
-    diagonal an entry is 0.0 - abar, as in D - Abar, so a missing edge
-    stays +0.0 (negation would give -0.0); on it, deg + (0.0 - abar)
-    rounds exactly like deg - abar.
+def _graph_laplacian(adj: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The Laplacian ``laplacian((adj + adj.T) / 2.0)``, bit for bit, built
+    in the first adj.size entries of the flat buffer ``buf``, which may be
+    adj's own (ufuncs copy overlapping inputs first). Off the diagonal an
+    entry is 0.0 - abar, as in D - Abar, so a missing edge stays +0.0
+    (negation would give -0.0); on it, deg + (0.0 - abar) rounds exactly
+    like deg - abar.
     """
     n = adj.shape[0]
     lap = buf[:n * n].reshape(n, n)
@@ -198,8 +199,13 @@ def _laplacian_eigvalsh(adj: np.ndarray, buf: np.ndarray) -> np.ndarray:
     deg = lap.sum(axis=1)
     np.subtract(0.0, lap, out=lap)
     np.fill_diagonal(lap, lap.diagonal() + deg)
+    return lap
+
+
+def _laplacian_eigvalsh(adj: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of `_graph_laplacian(adj, buf)`."""
     try:
-        return np.linalg.eigvalsh(lap)
+        return np.linalg.eigvalsh(_graph_laplacian(adj, buf))
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from None
 
@@ -217,14 +223,14 @@ def _components(order: np.ndarray, p: int) -> List[np.ndarray]:
     return np.split(members, np.cumsum(np.bincount(labels))[:-1])
 
 
-def _nme_steps(a: np.ndarray, p_list: Sequence[int], window: int
+def _nme_steps(order: np.ndarray, p_list: Sequence[int], window: int
                ) -> Iterator[_NmeStep]:
     """Score each p of the ascending, duplicate-free p_list, lazily: the
     spectrum for a p is solved only when the consumer asks for it.
 
-    Each row's neighbour order is sorted once, and the graph for p adds the
-    columns order[:, filled:p] to the one for the previous p, so it is the
-    graph of `binarize_symmetrize(a, p)`. While that graph has several
+    order is `_neighbour_order(a)`. The graph for p adds the columns
+    order[:, filled:p] to the one for the previous p, so it is the graph
+    of `binarize_symmetrize(a, p)`. While that graph has several
     components its Laplacian is block diagonal (up to a permutation), and
     the spectrum is the union of the blocks' spectra; each block is built
     from its own rows and columns of the graph (its degrees are exact sums
@@ -234,8 +240,7 @@ def _nme_steps(a: np.ndarray, p_list: Sequence[int], window: int
     looked for. Every Laplacian, whole or block, is built in one buffer
     that the whole scan reuses.
     """
-    n = a.shape[0]
-    order = _neighbour_order(a)
+    n = order.shape[0]
     rows = np.arange(n)[:, None]
     adj = np.eye(n)
     lap = np.empty(n * n)
@@ -256,11 +261,9 @@ def _nme_steps(a: np.ndarray, p_list: Sequence[int], window: int
         yield _NmeStep(p, g_p, r, int(np.argmax(gaps)) + 1, lam, gaps)
 
 
-def _nme_scan(a: np.ndarray, p_range: Optional[Sequence[int]], k_max: int,
-              stop_at_bound: bool) -> NmeResult:
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ShapeError("affinity must be square")
+def _nme_scan(order: np.ndarray, p_range: Optional[Sequence[int]],
+              k_max: int, stop_at_bound: bool) -> NmeResult:
+    n = order.shape[0]
     if p_range is None:
         p_range = default_p_range(n)
     p_list = sorted(set(int(p) for p in p_range))
@@ -271,7 +274,7 @@ def _nme_scan(a: np.ndarray, p_range: Optional[Sequence[int]], k_max: int,
 
     best: Optional[_NmeStep] = None
     trace: List[Dict[str, float]] = []
-    for i, step in enumerate(_nme_steps(a, p_list, min(k_max, n - 1))):
+    for i, step in enumerate(_nme_steps(order, p_list, min(k_max, n - 1))):
         trace.append({"p": step.p, "g_p": step.g_p, "r": step.r,
                       "k_at_p": step.k_at_p})
         # strictly smaller r wins, so ties go to the smaller p
@@ -303,7 +306,8 @@ def nme_select(
     `eig_sym` spectrum of `binarize_symmetrize(a, p)` in the last bits.
     `nme_select_bounded` makes the same pick from a prefix of the scan.
     """
-    return _nme_scan(a, p_range, k_max, stop_at_bound=False)
+    return _nme_scan(_neighbour_order(a), p_range, k_max,
+                     stop_at_bound=False)
 
 
 def nme_select_bounded(
@@ -327,7 +331,8 @@ def nme_select_bounded(
     The stop therefore waits until the next p exceeds the best r by the
     factor 1 + BOUND_SLACK, which covers n into the millions.
     """
-    return _nme_scan(a, p_range, k_max, stop_at_bound=True)
+    return _nme_scan(_neighbour_order(a), p_range, k_max,
+                     stop_at_bound=True)
 
 
 # --------------------------------------------------------------------------
@@ -429,17 +434,6 @@ def kmeans(x: np.ndarray, k: int, restarts: int = DEFAULT_RESTARTS,
 # full spectral pipeline
 # --------------------------------------------------------------------------
 
-def spectral_partition(a: np.ndarray, p: int, k: int, restarts: int,
-                       seed: int) -> ClusterAssignment:
-    """k-means on the first k Laplacian eigenvectors of the affinity a
-    binarized at p."""
-    n = a.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}]")
-    _, vec = eig_sym(laplacian(binarize_symmetrize(a, p)))
-    return kmeans(vec[:, :k], k, restarts=restarts, seed=seed)
-
-
 def spectral_cluster(
     x: np.ndarray,
     k: Optional[int] = None,
@@ -449,19 +443,26 @@ def spectral_cluster(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> Tuple[ClusterAssignment, Optional[NmeResult]]:
-    """Spectral clustering of embedding rows.
+    """Spectral clustering of embedding rows, each affinity row sorted once.
 
-    With `k` given, runs fixed-p binarized spectral clustering at the
-    caller's p (default: the top of the default p range). Otherwise the
-    bounded NME scan (`nme_select_bounded`) estimates both p and k. Returns
-    the assignment plus the NME result in estimate mode (None in known-k
-    mode).
+    Without `k`, or with `p_range`, the bounded NME scan over `p_range`
+    (default: `default_p_range(n)`) picks p, and k unless it is given;
+    otherwise p is the caller's (default: the top of the default p range).
+    k-means then runs on the first k `eig_sym` eigenvectors of the scan
+    builder's Laplacian at p: `laplacian(binarize_symmetrize(a, p))` bit for
+    bit. Returns the assignment and the NME result (None if not scanned).
     """
-    a = cosine_affinity(x)
+    order = _neighbour_order(cosine_affinity(x))
+    n = order.shape[0]
     nme = None
-    if k is None:
-        nme = nme_select_bounded(a, p_range, k_max)
-        p, k = nme.p_hat, nme.k_hat
+    if k is None or p_range is not None:
+        nme = _nme_scan(order, p_range, k_max, stop_at_bound=True)
+        p, k = nme.p_hat, nme.k_hat if k is None else k
     elif p is None:
-        p = default_p_range(a.shape[0])[-1]
-    return spectral_partition(a, p, k, restarts, seed), nme
+        p = default_p_range(n)[-1]
+    elif not 1 <= p <= n - 1:
+        raise ValueError(f"p must lie in [1, {n - 1}], got {p}")
+    adj = np.eye(n)
+    adj[np.arange(n)[:, None], order[:, :p]] = 1.0
+    _, vec = eig_sym(_graph_laplacian(adj, adj.ravel()))
+    return kmeans(vec[:, :k], k, restarts=restarts, seed=seed), nme

@@ -22,14 +22,12 @@ from .clustering import (
     DEFAULT_RESTARTS,
     ClusterAssignment,
     NmeResult,
-    cosine_affinity,
     default_p_range,
     kmeans,
     # the exhaustive scan stays reachable as pipeline.nme_select, where
     # perfbench/test_tracing.py looks for it
     nme_select,  # noqa: F401
-    nme_select_bounded,
-    spectral_partition,
+    spectral_cluster,
 )
 from .models import EncodeMode, MlpCheckpoint, encode
 
@@ -294,9 +292,10 @@ class DiarizeConfig:
 
     embedding picks the segment representation; backend picks the
     clusterer. known_k overrides count estimation (required for the
-    kmeans and sc-fixed-p back-ends). p fixes the binarization count and
-    applies only to sc-fixed-p (default: the top of the default p range);
-    nme-sc ignores it and picks p by the NME scan.
+    kmeans and sc-fixed-p back-ends); nme-sc with known_k still picks p
+    by the NME scan. p fixes the binarization count and applies only to
+    sc-fixed-p (default: the top of the default p range); nme-sc ignores
+    it.
     """
 
     embedding: str = "xvector-raw"
@@ -345,11 +344,12 @@ def run_diarization(
     Returns the hypothesis timeline, the cluster count used, and a
     diagnostics dict carrying the NME result and k-means inertia.
 
-    The nme-sc back-end picks p with `nme_select_bounded`: the same
-    (p_hat, k_hat) as the exhaustive `nme_select`, from the ascending scan
-    stopped once no later p can win. The NME result's trace holds the p
-    values scanned, and `p_scanned` counts them (0 when nothing was
-    scanned).
+    Both spectral back-ends are one `spectral_cluster` call. nme-sc
+    passes the default p range, so the bounded NME scan picks p (and k,
+    unless known_k is set): the same (p_hat, k_hat) as the exhaustive
+    `nme_select`, from the ascending scan stopped once no later p can win.
+    The NME result's trace holds the p values scanned, and `p_scanned`
+    counts them (0 when nothing was scanned).
     """
     try:
         segments = uniform_segments(sad, cfg.win, cfg.hop)
@@ -375,14 +375,11 @@ def run_diarization(
             asg = kmeans(_unit_rows(x), cfg.known_k,
                          restarts=cfg.restarts, seed=cfg.seed)
         else:
-            a = cosine_affinity(x)
-            if cfg.backend == "nme-sc":
-                nme = nme_select_bounded(a, k_max=k_max)
-                p_used = nme.p_hat
-            else:
-                p_used = cfg.p if cfg.p is not None else default_p_range(n)[-1]
-            k = cfg.known_k if cfg.known_k is not None else nme.k_hat
-            asg = spectral_partition(a, p_used, k, cfg.restarts, cfg.seed)
+            p = cfg.p if cfg.p is not None else default_p_range(n)[-1]
+            p_range = default_p_range(n) if cfg.backend == "nme-sc" else None
+            asg, nme = spectral_cluster(x, cfg.known_k, p, p_range, k_max,
+                                        cfg.restarts, cfg.seed)
+            p_used = p if nme is None else nme.p_hat
         labels, k_used, inertia = asg.labels, asg.k, asg.inertia
         timeline = labels_to_timeline(
             segments, [f"spk{c:02d}" for c in labels])

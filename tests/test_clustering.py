@@ -423,9 +423,9 @@ class TestNmeSelect:
             nme_select(a[:, :6], k_max=5)
 
 
-def planted_affinity(k, std, seed, n=120, dim=16, min_deg=25.0):
-    """Cosine affinity of noisy rows around k unit means at least min_deg
-    apart, rows dealt round-robin to the speakers."""
+def planted_rows(k, std, seed, n=120, dim=16, min_deg=25.0):
+    """Noisy rows around k unit means at least min_deg apart, rows dealt
+    round-robin to the speakers."""
     rng = np.random.default_rng([k, int(std * 1000), seed])
     while True:
         means = rng.standard_normal((k, dim))
@@ -434,8 +434,12 @@ def planted_affinity(k, std, seed, n=120, dim=16, min_deg=25.0):
         np.fill_diagonal(gram, -1.0)
         if gram.max() <= np.cos(np.radians(min_deg)):
             break
-    x = means[np.arange(n) % k] + std * rng.standard_normal((n, dim))
-    return cosine_affinity(x)
+    return means[np.arange(n) % k] + std * rng.standard_normal((n, dim))
+
+
+def planted_affinity(k, std, seed, **kwargs):
+    """Cosine affinity of `planted_rows`."""
+    return cosine_affinity(planted_rows(k, std, seed, **kwargs))
 
 
 def assert_same_pick(bounded, full):
@@ -509,7 +513,8 @@ class TestComponentSpectra:
     @staticmethod
     def assert_matches_dense(a, p_range, window=DEFAULT_K_MAX):
         p_list = sorted(set(p_range))
-        steps = list(_nme_steps(a, p_list, min(window, a.shape[0] - 1)))
+        steps = list(_nme_steps(_neighbour_order(a), p_list,
+                                min(window, a.shape[0] - 1)))
         assert [s.p for s in steps] == p_list
         n_comps = []
         for step in steps:
@@ -567,7 +572,8 @@ class TestScanMemory:
         # while the graph is split and the whole graph once it is not,
         # equals the block of laplacian(binarize_symmetrize(a, p)) in its
         # int64 view: no -0.0 off the diagonal
-        a = planted_affinity(k, std, 0, n=60)
+        x = planted_rows(k, std, 0, n=60)
+        a = cosine_affinity(x)
         seen = []
         real = np.linalg.eigvalsh
 
@@ -577,7 +583,7 @@ class TestScanMemory:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", capture)
         p_list = [1, 2, 5, 13, 21, 34]
-        list(_nme_steps(a, p_list, DEFAULT_K_MAX))
+        list(_nme_steps(_neighbour_order(a), p_list, DEFAULT_K_MAX))
         monkeypatch.undo()
         want, split = [], 0
         for p in p_list:
@@ -588,6 +594,23 @@ class TestScanMemory:
         assert 0 < split < len(p_list)
         assert len(seen) == len(want)
         for got, ref in zip(seen, want):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+        # the whole Laplacian spectral_cluster partitions with, at the
+        # scanned p_hat and at a fixed p, has the reference bits as well
+        handed = []
+
+        def capture_eig(mat):
+            handed.append(mat.copy())
+            return eig_sym(mat)
+
+        monkeypatch.setattr("deskdiar.clustering.eig_sym", capture_eig)
+        _, nme = spectral_cluster(x)
+        spectral_cluster(x, k=k, p=13)
+        monkeypatch.undo()
+        assert len(handed) == 2
+        for got, p in zip(handed, (nme.p_hat, 13)):
+            ref = laplacian(binarize_symmetrize(a, p))
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
@@ -697,6 +720,14 @@ class TestSpectralCluster:
         perm = rng.permutation(x.shape[0])
         asg, _ = spectral_cluster(x[perm], k=3)
         assert partition(asg.labels) == partition(labels[perm])
+
+    def test_known_k_with_p_range_scans_for_p(self):
+        x, labels = three_block_embeddings()
+        x = x[labels < 2]
+        asg, nme = spectral_cluster(x, k=2, p_range=[2, 4, 6])
+        assert nme is not None and nme.p_hat in (2, 4, 6)
+        assert asg.k == 2
+        assert partition(asg.labels) == partition(labels[labels < 2])
 
     def test_known_k_out_of_range(self):
         with pytest.raises(ValueError, match="k must lie"):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from deskdiar.autodiff import ShapeError
 from deskdiar.clustering import (
     DegenerateAffinityError,
+    _neighbour_order,
+    cosine_affinity,
     kmeans,
     nme_select,
     spectral_cluster,
@@ -21,7 +23,6 @@ from deskdiar.pipeline import (
     SadIntervals,
     Segment,
     Timeline,
-    cosine_affinity,
     format_sad,
     fuse,
     labels_to_timeline,
@@ -374,20 +375,29 @@ class TestRunDiarization:
         assert diag["nme"] is not None  # p still auto-tuned
 
     def test_one_affinity_per_session(self, rng, monkeypatch):
+        # one affinity and one sort of its rows, shared by the NME scan
+        # and the partition
         s, segs, x, _ = planted_session(rng)
-        calls = []
+        calls, sorts = [], []
 
         def counted(y):
             calls.append(y.shape)
             return cosine_affinity(y)
 
+        def counted_order(a):
+            sorts.append(a.shape)
+            return _neighbour_order(a)
+
         monkeypatch.setattr("deskdiar.clustering.cosine_affinity", counted)
-        monkeypatch.setattr("deskdiar.pipeline.cosine_affinity", counted)
+        monkeypatch.setattr("deskdiar.clustering._neighbour_order",
+                            counted_order)
         fixed = DiarizeConfig(backend="sc-fixed-p", known_k=2, seed=3)
         for cfg in (DiarizeConfig(), DiarizeConfig(known_k=3), fixed):
             calls.clear()
+            sorts.clear()
             tl, _, diag = run_diarization(s, x, cfg)
             assert len(calls) == 1, cfg
+            assert len(sorts) == 1, cfg
             if cfg.known_k == 3:
                 assert diag["p_used"] == diag["nme"].p_hat
         asg, _ = spectral_cluster(x, k=2, seed=3)
@@ -414,6 +424,14 @@ class TestRunDiarization:
         s, _, x, _ = planted_session(rng)
         with pytest.raises(ShapeError, match="session sess01"):
             run_diarization(s, x[:-3], DiarizeConfig())
+
+    def test_fixed_p_out_of_range(self, rng):
+        s, segs, x, _ = planted_session(rng)
+        for p in (0, len(segs)):
+            cfg = DiarizeConfig(backend="sc-fixed-p", known_k=2, p=p)
+            with pytest.raises(ValueError,
+                               match="session sess01: p must lie"):
+                run_diarization(s, x, cfg)
 
     def test_single_segment_session(self):
         s = sad((0.0, 1.0))
